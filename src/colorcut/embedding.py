@@ -28,9 +28,10 @@ DEFAULT_EMBED_RETRIES = 20
 DEFAULT_EXPANDER_SEED = 0
 SPARSITY_VERTEX_CAP = 12
 
-# Calibrated constants (see the calibrate command): measured congestion
-# ratios peak at 1.61 (ell = 16), measured depth ratios at 1.90, and the
-# single-vertex fallback for k < 8 needs BIG_C_HAT >= 7 / ln(7) ~ 3.6.
+# Calibrated constants (see the calibrate command): congestion ratios are
+# LP optima, independent of how the flow splits into paths, and peak at 1.60
+# (ell = 16); depth ratios peak at 1.95 over 100 trials; the single-vertex
+# fallback for k < 8 needs BIG_C_HAT >= 7 / ln(7) ~ 3.6.
 DEFAULT_C_HAT = 2.0
 DEFAULT_BIG_C_HAT = 4.0
 
@@ -364,7 +365,7 @@ def depth_bound(k: int, n: int, m: int, big_c: float) -> float:
     return big_c * (1.0 + (n + m) / k) * math.log(k)
 
 
-_FLOW_CACHE: dict[tuple[int, int], tuple[ExpanderCertificate, ConcurrentFlow]] = {}
+_FLOW_CACHE: dict[tuple, tuple[ExpanderCertificate, ConcurrentFlow]] = {}
 
 
 def expander_flow(
@@ -376,9 +377,9 @@ def expander_flow(
     retries: int = DEFAULT_EXPANDER_RETRIES,
     lp_tolerance: float = DEFAULT_LP_TOLERANCE,
 ) -> tuple[ExpanderCertificate, ConcurrentFlow]:
-    """Certified expander plus its concurrent flow, cached per (ell, seed)
-    so repeated embeddings at the same budget reuse one LP solve."""
-    key = (ell, expander_seed)
+    """Certified expander plus its concurrent flow, cached per argument
+    tuple so repeated embeddings at the same budget reuse one LP solve."""
+    key = (ell, expander_seed, target, exhaustive_cap, retries, lp_tolerance)
     if key not in _FLOW_CACHE:
         cert = build_expander(
             ell, expander_seed, target=target, exhaustive_cap=exhaustive_cap, retries=retries

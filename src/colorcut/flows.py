@@ -3,10 +3,13 @@
 One unit of flow is routed between every ordered vertex pair; the diagonal
 pair (w, w) stays put on its length-0 path. Vertex congestion counts every
 path through a vertex, endpoints and length-0 paths included. The optimum
-is computed by an arc-based linear program over unordered pairs (mirroring
-an optimal solution never increases the maximum, so the symmetric
-restriction is lossless), then turned back into weighted path collections
-by cycle removal and greedy decomposition.
+comes from an arc-based linear program with one commodity per source s,
+shipping a unit from s to every other vertex (ell * 2|E| flow variables;
+Shahrokhi & Matula, "The maximum concurrent flow problem", JACM 1990).
+Each source's flow has its cycles cancelled and is split greedily into
+paths to its sinks. The u-v paths keep half of u's paths to v and half of
+v's paths to u reversed, so paths[(v, u)] reverses paths[(u, v)] and every
+vertex keeps its summed transit, hence the LP optimum.
 """
 
 from __future__ import annotations
@@ -41,12 +44,6 @@ class ConcurrentFlow:
     paths: dict[tuple[int, int], tuple[tuple[tuple[int, ...], float], ...]]
     congestion: float
     lp_congestion: float
-
-    def pair_paths(self, u: int, v: int):
-        return self.paths[(u, v)]
-
-    def pair_value(self, u: int, v: int) -> float:
-        return sum(w for _, w in self.paths[(u, v)])
 
     def sample(self, u: int, v: int, rng) -> tuple[int, ...]:
         """Draw one u-v path with probability proportional to its weight."""
@@ -117,18 +114,24 @@ def _remove_cycles(flow: np.ndarray, arcs, vertex_count: int) -> None:
             flow[idx] -= drop
 
 
-def _decompose(flow: np.ndarray, arcs, s: int, t: int, vertex_count: int):
-    """Greedy path decomposition of an acyclic s-t flow; always follows the
-    smallest-index positive arc, so the output is deterministic."""
-    out_arcs: list[list[int]] = [[] for _ in range(vertex_count)]
+def _decompose(flow: np.ndarray, arcs, s: int, demand: list[float]):
+    """Greedy path decomposition of an acyclic flow out of s.
+
+    demand[w] is what the flow delivers to w (zero at s and at pure transit
+    vertices). Each walk leaves s, always follows the smallest-index
+    positive arc, and stops at the first vertex with unmet demand, so the
+    output is deterministic. Returns per-sink lists of (path, weight);
+    flow and demand are used up in place.
+    """
+    out_arcs: list[list[int]] = [[] for _ in range(len(demand))]
     for idx, (u, _) in enumerate(arcs):
         out_arcs[u].append(idx)
-    paths = []
-    for _ in range(len(arcs) + 1):
+    paths: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in demand]
+    for _ in range(len(arcs) + len(demand)):
         node = s
         path_vertices = [s]
         path_arcs = []
-        while node != t:
+        while demand[node] <= _EPS:
             nxt_arc = None
             for idx in out_arcs[node]:
                 if flow[idx] > _EPS:
@@ -139,23 +142,68 @@ def _decompose(flow: np.ndarray, arcs, s: int, t: int, vertex_count: int):
             path_arcs.append(nxt_arc)
             node = arcs[nxt_arc][1]
             path_vertices.append(node)
-            if len(path_vertices) > vertex_count:
+            if len(path_vertices) > len(demand):
                 raise RuntimeError("walk exceeded vertex count; residual flow is not acyclic")
-        if node != t or not path_arcs:
-            break
-        weight = min(flow[idx] for idx in path_arcs)
+        if demand[node] <= _EPS:
+            break  # the flow is used up, or what is left is solver noise
+        weight = min(demand[node], *(flow[idx] for idx in path_arcs))
         for idx in path_arcs:
             flow[idx] -= weight
-        paths.append((tuple(path_vertices), float(weight)))
+        demand[node] -= weight
+        paths[node].append((tuple(path_vertices), float(weight)))
     return paths
+
+
+def _solve_lp(ell: int, arcs) -> np.ndarray:
+    """Optimal arc flows of the single-source LP: entry s * len(arcs) + a is
+    commodity s's flow on arc a, and the last entry is gamma."""
+    n_arcs = len(arcs)
+    gamma_col = ell * n_arcs
+    tail, head = np.array(arcs).T
+    col = np.arange(gamma_col)
+    source = col // n_arcs
+    arc_tail = tail[col % n_arcs]
+    arc_head = head[col % n_arcs]
+    enters = arc_head != source
+    leaves = arc_tail != source
+
+    # conservation: in_s(w) - out_s(w) = 1 in row s * (ell - 1) + rank of w
+    # among the vertices other than s; the row of w = s is implied
+    def conservation_row(w):
+        return source * (ell - 1) + w - (w > source)
+
+    eq_rows = np.concatenate([conservation_row(arc_head)[enters], conservation_row(arc_tail)[leaves]])
+    eq_cols = np.concatenate([col[enters], col[leaves]])
+    eq_vals = np.concatenate([np.ones(enters.sum()), -np.ones(leaves.sum())])
+    a_eq = sparse.csr_matrix((eq_vals, (eq_rows, eq_cols)), shape=(ell * (ell - 1), gamma_col + 1))
+    # load at w: the fixed endpoint load 2*(ell-1) + 1 plus the transit, the
+    # sum over s != w of in_s(w) - 1, at most gamma; so sum in_s(w) - gamma <= -ell
+    ub_rows = np.concatenate([arc_head[enters], np.arange(ell)])
+    ub_cols = np.concatenate([col[enters], np.full(ell, gamma_col)])
+    ub_vals = np.concatenate([np.ones(enters.sum()), -np.ones(ell)])
+    a_ub = sparse.csr_matrix((ub_vals, (ub_rows, ub_cols)), shape=(ell, gamma_col + 1))
+    objective = np.zeros(gamma_col + 1)
+    objective[gamma_col] = 1.0
+    result = linprog(
+        objective,
+        A_ub=a_ub,
+        b_ub=np.full(ell, -float(ell)),
+        A_eq=a_eq,
+        b_eq=np.ones(ell * (ell - 1)),
+        bounds=(0, None),
+        method="highs",
+    )
+    if not result.success:
+        raise Infeasible(f"LP solver failed: {result.message}")
+    return np.maximum(result.x, 0.0)
 
 
 def min_congestion_flow(graph: Graph, lp_tolerance: float = DEFAULT_LP_TOLERANCE) -> ConcurrentFlow:
     """Solve the concurrent-flow LP and decompose the optimum into paths.
 
     Raises Infeasible on disconnected hosts. The returned per-pair weights
-    sum to exactly 1, and the recomputed congestion stays within the LP
-    tolerance of the LP objective.
+    sum to 1, paths[(v, u)] is the reverse of paths[(u, v)], and the
+    recomputed congestion stays within the LP tolerance of the LP objective.
     """
     ell = graph.vertex_count
     if ell < 1:
@@ -166,94 +214,41 @@ def min_congestion_flow(graph: Graph, lp_tolerance: float = DEFAULT_LP_TOLERANCE
         paths = {(0, 0): (((0,), 1.0),)}
         return ConcurrentFlow(graph, paths, 1.0, 1.0)
 
-    arcs: list[tuple[int, int]] = []
-    for u, v in graph.edges:
-        arcs.append((u, v))
-        arcs.append((v, u))
+    arcs = [arc for u, v in graph.edges for arc in ((u, v), (v, u))]
     n_arcs = len(arcs)
-    in_arcs: list[list[int]] = [[] for _ in range(ell)]
-    out_arcs: list[list[int]] = [[] for _ in range(ell)]
-    for idx, (u, v) in enumerate(arcs):
-        out_arcs[u].append(idx)
-        in_arcs[v].append(idx)
-    pairs = [(s, t) for s in range(ell) for t in range(s + 1, ell)]
-    n_pairs = len(pairs)
-    n_vars = n_pairs * n_arcs + 1
-    gamma_col = n_vars - 1
+    x = _solve_lp(ell, arcs)
+    lp_gamma = float(x[-1])
 
-    eq_rows: list[int] = []
-    eq_cols: list[int] = []
-    eq_vals: list[float] = []
-    b_eq: list[float] = []
-    row = 0
-    for ci, (s, t) in enumerate(pairs):
-        base = ci * n_arcs
-        for w in range(ell):
-            if w == t:
-                continue  # redundant by conservation
-            for idx in out_arcs[w]:
-                eq_rows.append(row)
-                eq_cols.append(base + idx)
-                eq_vals.append(1.0)
-            for idx in in_arcs[w]:
-                eq_rows.append(row)
-                eq_cols.append(base + idx)
-                eq_vals.append(-1.0)
-            b_eq.append(1.0 if w == s else 0.0)
-            row += 1
-    a_eq = sparse.coo_matrix((eq_vals, (eq_rows, eq_cols)), shape=(row, n_vars))
-
-    ub_rows: list[int] = []
-    ub_cols: list[int] = []
-    ub_vals: list[float] = []
-    b_ub: list[float] = []
-    for w in range(ell):
-        # endpoints contribute a load of 2*(ell-1) + 1 at w no matter what;
-        # transit flow is doubled because each unordered pair stands for two
-        # mirrored ordered pairs.
-        for ci, (s, t) in enumerate(pairs):
-            if w == s or w == t:
+    # directed[s][t]: commodity s's paths to t, weights normalized to 1
+    directed = []
+    for s in range(ell):
+        flow = x[s * n_arcs : (s + 1) * n_arcs].copy()
+        _remove_cycles(flow, arcs, ell)
+        demand = [0.0 if w == s else 1.0 for w in range(ell)]
+        by_sink = _decompose(flow, arcs, s, demand)
+        for t, plist in enumerate(by_sink):
+            if t == s:
                 continue
-            base = ci * n_arcs
-            for idx in in_arcs[w]:
-                ub_rows.append(w)
-                ub_cols.append(base + idx)
-                ub_vals.append(2.0)
-        ub_rows.append(w)
-        ub_cols.append(gamma_col)
-        ub_vals.append(-1.0)
-        b_ub.append(-(2.0 * (ell - 1) + 1.0))
-    a_ub = sparse.coo_matrix((ub_vals, (ub_rows, ub_cols)), shape=(ell, n_vars))
-
-    objective = np.zeros(n_vars)
-    objective[gamma_col] = 1.0
-    result = linprog(
-        objective,
-        A_ub=a_ub.tocsr(),
-        b_ub=np.array(b_ub),
-        A_eq=a_eq.tocsr(),
-        b_eq=np.array(b_eq),
-        bounds=(0, None),
-        method="highs",
-    )
-    if not result.success:
-        raise Infeasible(f"LP solver failed: {result.message}")
-    x = np.maximum(result.x, 0.0)
-    lp_gamma = float(x[gamma_col])
+            total = sum(w for _, w in plist)
+            if abs(total - 1.0) > 1e-6 + lp_tolerance:
+                raise Infeasible(f"pair ({s}, {t}) decomposed to value {total}, expected 1")
+            by_sink[t] = [(p, w / total) for p, w in plist]
+        directed.append(by_sink)
 
     paths: dict[tuple[int, int], tuple[tuple[tuple[int, ...], float], ...]] = {}
     for w in range(ell):
         paths[(w, w)] = (((w,), 1.0),)
-    for ci, (s, t) in enumerate(pairs):
-        flow = x[ci * n_arcs : (ci + 1) * n_arcs].copy()
-        _remove_cycles(flow, arcs, ell)
-        plist = _decompose(flow, arcs, s, t, ell)
-        total = sum(w for _, w in plist)
-        if abs(total - 1.0) > 1e-6 + lp_tolerance:
-            raise Infeasible(f"pair ({s}, {t}) decomposed to value {total}, expected 1")
-        plist = [(p, w / total) for p, w in plist]
-        paths[(s, t)] = tuple(plist)
-        paths[(t, s)] = tuple((tuple(reversed(p)), w) for p, w in plist)
+    for s in range(ell):
+        for t in range(s + 1, ell):
+            # half of each direction, merged; summed transit per vertex is
+            # unchanged, so the congestion is still the LP optimum
+            merged: dict[tuple[int, ...], float] = {}
+            for p, w in directed[s][t]:
+                merged[p] = merged.get(p, 0.0) + w / 2
+            for p, w in directed[t][s]:
+                merged[p[::-1]] = merged.get(p[::-1], 0.0) + w / 2
+            paths[(s, t)] = tuple(merged.items())
+            paths[(t, s)] = tuple((p[::-1], w) for p, w in merged.items())
 
     flow_obj = ConcurrentFlow(graph, paths, 0.0, lp_gamma)
     flow_obj.congestion = max(flow_obj.vertex_loads())

@@ -28,7 +28,10 @@ def _records(text: str):
             yield lineno, line.split()
 
 
-def _int_fields(fields, lineno):
+def _int_fields(fields, lineno, count=None):
+    """Parse integer fields; with a count, any other number of them is malformed."""
+    if count is not None and len(fields) != count:
+        raise FormatError(f"line {lineno}: expected {count} integer fields, got {fields}")
     try:
         return [int(f) for f in fields]
     except ValueError as exc:
@@ -148,16 +151,15 @@ def parse_psi(text: str) -> PsiInstance:
                 raise FormatError(f"line {lineno}: expected 'psi h n' header")
             header = _int_fields(fields[1:], lineno)
         elif fields[0] == "pe":
-            x, y = _int_fields(fields[1:], lineno)
+            x, y = _int_fields(fields[1:], lineno, 2)
             pattern_edges.add((x, y) if x < y else (y, x))
         elif fields[0] == "block":
-            vals = _int_fields(fields[1:], lineno)
-            x = vals[0]
+            (x,) = _int_fields(fields[1:2], lineno, 1)
             if x in blocks:
                 raise FormatError(f"line {lineno}: block {x} given twice")
-            blocks[x] = tuple(sorted(vals[1:]))
+            blocks[x] = tuple(sorted(_int_fields(fields[2:], lineno)))
         elif fields[0] == "he":
-            u, v = _int_fields(fields[1:], lineno)
+            u, v = _int_fields(fields[1:], lineno, 2)
             host_edges.add((u, v) if u < v else (v, u))
         else:
             raise FormatError(f"line {lineno}: unexpected record {fields[0]!r}")
@@ -299,12 +301,12 @@ def parse_csp(text: str) -> BinaryCsp:
                 raise FormatError(f"line {lineno}: expected 'csp nvars' header")
             (n_vars,) = _int_fields(fields[1:], lineno)
         elif fields[0] == "dom":
-            i = _int_fields(fields[1:2], lineno)[0]
+            (i,) = _int_fields(fields[1:2], lineno, 1)
             if i in domains:
                 raise FormatError(f"line {lineno}: domain {i} given twice")
             domains[i] = tuple(fields[2:])
         elif fields[0] == "con":
-            i, j = _int_fields(fields[1:3], lineno)
+            i, j = _int_fields(fields[1:3], lineno, 2)
             pairs = []
             for pair in fields[3:]:
                 parts = pair.split("|")
@@ -372,14 +374,14 @@ def parse_embedding(text: str):
                 raise FormatError(f"line {lineno}: expected 'embed n m branches ell' header")
             header = _int_fields(fields[1:], lineno)
         elif fields[0] == "host":
-            host_edges.append(tuple(_int_fields(fields[1:], lineno)))
+            host_edges.append(tuple(_int_fields(fields[1:], lineno, 2)))
         elif fields[0] == "branch":
-            vals = _int_fields(fields[1:], lineno)
-            if vals[0] in branch:
-                raise FormatError(f"line {lineno}: branch {vals[0]} given twice")
-            branch[vals[0]] = frozenset(vals[1:])
+            (v,) = _int_fields(fields[1:2], lineno, 1)
+            if v in branch:
+                raise FormatError(f"line {lineno}: branch {v} given twice")
+            branch[v] = frozenset(_int_fields(fields[2:], lineno))
         elif fields[0] == "zeta":
-            v, w = _int_fields(fields[1:], lineno)
+            v, w = _int_fields(fields[1:], lineno, 2)
             zeta[v] = w
         else:
             raise FormatError(f"line {lineno}: unexpected record {fields[0]!r}")
@@ -412,7 +414,7 @@ def parse_gadget_map(text: str) -> tuple[tuple[int, int, int], ...]:
                 raise FormatError(f"line {lineno}: expected 'gadgetmap p' header")
             header = _int_fields(fields[1:], lineno)
         elif fields[0] == "color":
-            i, alpha, vx, vy = _int_fields(fields[1:], lineno)
+            i, alpha, vx, vy = _int_fields(fields[1:], lineno, 4)
             if i != len(rows) + 1:
                 raise FormatError(f"line {lineno}: colors must appear in order")
             rows.append((alpha, vx, vy))

@@ -2,12 +2,16 @@
 
 Deliberately different algorithms from the package: subset combinations
 instead of vectorized masks, BFS instead of union-find, backtracking instead
-of product scans, DPLL instead of assignment enumeration. Any disagreement
-points at a bug on one of the two sides.
+of product scans, DPLL instead of assignment enumeration, one LP commodity
+per vertex pair instead of per source. Any disagreement points at a bug on
+one of the two sides.
 """
 
 import itertools
 from collections import deque
+
+from scipy import sparse
+from scipy.optimize import linprog
 
 
 def bfs_component_count(vertex_count, edges):
@@ -141,3 +145,56 @@ def csp_decision_backtracking(csp):
         return False
 
     return place(0)
+
+
+def pairwise_congestion_lp(graph):
+    """Optimal vertex congestion of the concurrent flow on a connected graph
+    with at least two vertices, from an arc LP with one commodity per
+    unordered pair. Endpoints load every vertex with 2*(ell-1) + 1; transit
+    flow counts twice because each unordered pair stands for both ordered
+    pairs (mirroring an optimum never raises the maximum)."""
+    ell = graph.vertex_count
+    arcs = []
+    for u, v in graph.edges:
+        arcs.append((u, v))
+        arcs.append((v, u))
+    n_arcs = len(arcs)
+    pairs = [(s, t) for s in range(ell) for t in range(s + 1, ell)]
+    gamma_col = len(pairs) * n_arcs
+    eq_rows, eq_cols, eq_vals, b_eq = [], [], [], []
+    for ci, (s, t) in enumerate(pairs):
+        for w in range(ell):
+            if w == t:
+                continue  # implied by the other rows
+            for idx, (a, b) in enumerate(arcs):
+                if w in (a, b):
+                    eq_rows.append(len(b_eq))
+                    eq_cols.append(ci * n_arcs + idx)
+                    eq_vals.append(1.0 if a == w else -1.0)
+            b_eq.append(1.0 if w == s else 0.0)
+    ub_rows, ub_cols, ub_vals = [], [], []
+    for w in range(ell):
+        for ci, (s, t) in enumerate(pairs):
+            if w in (s, t):
+                continue
+            for idx, (_, b) in enumerate(arcs):
+                if b == w:
+                    ub_rows.append(w)
+                    ub_cols.append(ci * n_arcs + idx)
+                    ub_vals.append(2.0)
+        ub_rows.append(w)
+        ub_cols.append(gamma_col)
+        ub_vals.append(-1.0)
+    shape = (len(b_eq), gamma_col + 1)
+    objective = [0.0] * gamma_col + [1.0]
+    result = linprog(
+        objective,
+        A_ub=sparse.csr_matrix((ub_vals, (ub_rows, ub_cols)), shape=(ell, gamma_col + 1)),
+        b_ub=[-(2.0 * (ell - 1) + 1.0)] * ell,
+        A_eq=sparse.csr_matrix((eq_vals, (eq_rows, eq_cols)), shape=shape),
+        b_eq=b_eq,
+        bounds=(0, None),
+        method="highs",
+    )
+    assert result.success, result.message
+    return float(result.x[gamma_col])

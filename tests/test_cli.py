@@ -86,6 +86,22 @@ def test_error_exit_codes(capsys, files, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (("solve", "psi", "{bad}"), "psi 2 2\npe 0 1\nblock 0 0\nblock 1 1\nhe 0 1\nblock\n"),
+        (("solve", "csp", "{bad}"), "csp 1\ndom\n"),
+        (("reduce", "route", "{csp}", "--embed", "{bad}", "-o", "{out}"), "embed 1 0 1 1\nbranch\n"),
+    ],
+    ids=["psi", "csp", "embedding"],
+)
+def test_truncated_line_exit_code(capsys, files, tmp_path, argv, text):
+    paths = {"bad": files("bad", text), "csp": files("ok.csp", "csp 1\ndom 0 a\n"), "out": str(tmp_path / "out")}
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: line ")
+
+
 def test_reduce_sat2csp(capsys, files, tmp_path):
     cnf = files("f.cnf", "p cnf 2 2\n1 2 0\n-1 0\n")
     out_csp = str(tmp_path / "f.csp")

@@ -321,6 +321,13 @@ def test_expander_flow_cache():
     assert fresh[0].graph == first[0].graph  # same seed, same host
 
 
+def test_expander_flow_cache_keys_every_argument():
+    clear_flow_cache()
+    expander_flow(8, 0)
+    with pytest.raises(ExpansionTargetUnmet):
+        expander_flow(8, 0, target=2.0)
+
+
 def test_sample_path_family_counts():
     _, flow = expander_flow(8, 0)
     rng = random.Random(21)

@@ -1,10 +1,12 @@
 import random
 
 import numpy as np
+import oracles
 import pytest
 
+from colorcut.embedding import build_expander
 from colorcut.flows import Infeasible, _decompose, _remove_cycles, min_congestion_flow
-from colorcut.graphs import Graph
+from colorcut.graphs import Graph, random_max_degree3_graph
 
 # Hand-derived optima. Endpoint load at any vertex is 2*(ell-1)+1; transit
 # flow counts twice (mirrored ordered pairs).
@@ -31,26 +33,31 @@ def test_frozen_congestion_optima(graph, expected):
     assert abs(flow.congestion - expected) < 1e-6
 
 
-def test_flow_paths_are_valid():
-    graph = Graph.make(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    flow = min_congestion_flow(graph)
-    edge_set = graph.edge_set()
-    ell = graph.vertex_count
+def _assert_valid_paths(flow):
+    """Every ordered pair has simple paths along host edges between its
+    endpoints, weights summing to 1, and paths[(v, u)] reverses paths[(u, v)]."""
+    edge_set = flow.graph.edge_set()
+    ell = flow.graph.vertex_count
     assert sorted(flow.paths) == [(u, v) for u in range(ell) for v in range(ell)]
     for (u, v), plist in flow.paths.items():
-        assert abs(flow.pair_value(u, v) - 1.0) < 1e-9
+        assert abs(sum(w for _, w in flow.paths[(u, v)]) - 1.0) < 1e-9
         for path, weight in plist:
             assert weight > 0
             assert path[0] == u and path[-1] == v
             assert len(set(path)) == len(path)
             for a, b in zip(path, path[1:]):
                 assert ((a, b) if a < b else (b, a)) in edge_set
+        assert flow.paths[(v, u)] == tuple((p[::-1], w) for p, w in plist)
+
+
+def test_flow_paths_are_valid():
+    _assert_valid_paths(min_congestion_flow(Graph.make(4, [(0, 1), (1, 2), (2, 3), (0, 3)])))
 
 
 def test_flow_diagonal_pairs():
     flow = min_congestion_flow(Graph.make(3, [(0, 1), (1, 2)]))
     for w in range(3):
-        assert flow.pair_paths(w, w) == (((w,), 1.0),)
+        assert flow.paths[(w, w)] == (((w,), 1.0),)
 
 
 def test_flow_mirrored_pairs():
@@ -78,7 +85,7 @@ def test_flow_sample_returns_stored_path():
     graph = Graph.make(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     flow = min_congestion_flow(graph)
     rng = random.Random(5)
-    stored = {p for p, _ in flow.pair_paths(0, 2)}
+    stored = {p for p, _ in flow.paths[(0, 2)]}
     for _ in range(50):
         assert flow.sample(0, 2, rng) in stored
     # single-path pairs (the diagonal at least) skip the rng entirely
@@ -135,7 +142,7 @@ def test_cycle_removal_then_decompose():
         assert sourceless, "positive arcs form a directed cycle"
         alive -= sourceless
         remaining = {i for i in remaining if arcs[i][0] in alive}
-    paths = _decompose(flow, arcs, 0, 1, 3)
+    paths = _decompose(flow, arcs, 0, [0.0, 1.0, 0.0])[1]
     assert sum(w for _, w in paths) == pytest.approx(1.0)
     for path, _ in paths:
         assert path[0] == 0 and path[-1] == 1
@@ -147,5 +154,36 @@ def test_decompose_greedy_split():
     # two parallel routes 0-1 and 0-2-1 carrying half a unit each
     arcs = [(0, 1), (1, 0), (0, 2), (2, 0), (2, 1), (1, 2)]
     flow = np.array([0.5, 0.0, 0.5, 0.0, 0.5, 0.0])
-    paths = _decompose(flow, arcs, 0, 1, 3)
+    paths = _decompose(flow, arcs, 0, [0.0, 1.0, 0.0])[1]
     assert paths == [((0, 1), 0.5), ((0, 2, 1), 0.5)]
+
+
+def test_decompose_stops_at_first_unmet_demand():
+    # single-source flow on the path 0-1-2: one unit ends at 1, one passes on
+    arcs = [(0, 1), (1, 0), (1, 2), (2, 1)]
+    flow = np.array([2.0, 0.0, 1.0, 0.0])
+    paths = _decompose(flow, arcs, 0, [0.0, 1.0, 1.0])
+    assert paths == [[], [((0, 1), 1.0)], [((0, 1, 2), 1.0)]]
+    assert np.allclose(flow, 0.0)
+
+
+def _connected_max_degree3(ell, rng):
+    while True:
+        graph = random_max_degree3_graph(ell, rng.randint(ell - 1, 3 * ell // 2), rng)
+        if graph.is_connected():
+            return graph
+
+
+ORACLE_HOSTS = {
+    **{f"random{ell}": _connected_max_degree3(ell, random.Random(ell)) for ell in range(2, 11)},
+    **{f"expander{ell}": build_expander(ell).graph for ell in (8, 17, 21)},
+}
+
+
+@pytest.mark.parametrize("graph", ORACLE_HOSTS.values(), ids=ORACLE_HOSTS.keys())
+def test_flow_matches_pairwise_lp_oracle(graph):
+    flow = min_congestion_flow(graph)
+    expected = oracles.pairwise_congestion_lp(graph)
+    assert abs(flow.lp_congestion - expected) < 1e-6
+    assert abs(flow.congestion - expected) < 1e-6
+    _assert_valid_paths(flow)
