@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -342,7 +343,10 @@ class Embedding:
     depth: int = field(init=False)
 
     def __post_init__(self) -> None:
-        self.depth = max(self.depth_profile(), default=0)
+        # counted per branch-set member, so a huge host vertex count costs nothing
+        n = self.host.vertex_count
+        counts = Counter(w for bs in self.branch_sets.values() for w in bs if 0 <= w < n)
+        self.depth = max(counts.values(), default=0)
 
     @property
     def reduced(self) -> bool:

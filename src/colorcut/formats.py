@@ -92,25 +92,34 @@ def parse_dcmc(text: str) -> DualCmcInstance:
     each exactly once, empty blocks allowed) holding `e <u> <v>` lines."""
     header = None
     graphs: list[set[tuple[int, int]]] = []
-    current = -1
-    for lineno, fields in _records(text):
-        if header is None:
+    current = None
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        fields = line.split()
+        if not fields:
+            continue
+        if fields[0] == "e" and current is not None:
+            try:
+                _, u, v = fields
+                u, v = int(u), int(v)
+            except ValueError:
+                u, v = _int_fields(fields[1:], lineno, 2)
+            if u == v:
+                raise FormatError(f"line {lineno}: self-loop at {u}")
+            current.add((u, v) if u < v else (v, u))
+        elif header is None:
             if fields[0] != "dcmc" or len(fields) != 4:
                 raise FormatError(f"line {lineno}: expected 'dcmc n p a' header")
             header = _int_fields(fields[1:], lineno)
         elif fields[0] == "g":
-            (i,) = _int_fields(fields[1:], lineno)
-            if i != current + 2:
+            (i,) = _int_fields(fields[1:], lineno, 1)
+            if i != len(graphs) + 1:
                 raise FormatError(f"line {lineno}: color graphs must appear in order, got g {i}")
-            current = i - 1
-            graphs.append(set())
+            current = set()
+            graphs.append(current)
         elif fields[0] == "e":
-            if current < 0:
-                raise FormatError(f"line {lineno}: edge before any 'g' block")
-            u, v = _int_fields(fields[1:], lineno)
-            if u == v:
-                raise FormatError(f"line {lineno}: self-loop at {u}")
-            graphs[current].add((u, v) if u < v else (v, u))
+            raise FormatError(f"line {lineno}: edge before any 'g' block")
         else:
             raise FormatError(f"line {lineno}: unexpected record {fields[0]!r}")
     if header is None:
@@ -128,7 +137,7 @@ def write_dcmc(d: DualCmcInstance) -> str:
     lines = [f"dcmc {d.vertex_count} {d.p} {d.a}"]
     for i, es in enumerate(d.color_graphs, 1):
         lines.append(f"g {i}")
-        lines.extend(f"e {u} {v}" for u, v in sorted(es))
+        lines.extend(["e %d %d" % e for e in sorted(es)])
     return "\n".join(lines) + "\n"
 
 
@@ -166,7 +175,7 @@ def parse_psi(text: str) -> PsiInstance:
     if header is None:
         raise FormatError("missing 'psi' header")
     h, n = header
-    if sorted(blocks) != list(range(h)):
+    if len(blocks) != h or sorted(blocks) != list(range(h)):
         raise FormatError("need exactly one block per pattern vertex 0..h-1")
     try:
         return PsiInstance(
@@ -254,7 +263,7 @@ def parse_graph(text: str) -> Graph:
                 raise FormatError(f"line {lineno}: expected 'graph n m' header")
             header = _int_fields(fields[1:], lineno)
         elif fields[0] == "e":
-            edges.append(tuple(_int_fields(fields[1:], lineno)))
+            edges.append(tuple(_int_fields(fields[1:], lineno, 2)))
         else:
             raise FormatError(f"line {lineno}: unexpected record {fields[0]!r}")
     if header is None:
@@ -318,7 +327,7 @@ def parse_csp(text: str) -> BinaryCsp:
             raise FormatError(f"line {lineno}: unexpected record {fields[0]!r}")
     if n_vars is None:
         raise FormatError("missing 'csp' header")
-    if sorted(domains) != list(range(n_vars)):
+    if len(domains) != n_vars or sorted(domains) != list(range(n_vars)):
         raise FormatError("need one 'dom' line per variable 0..nvars-1")
     csp = BinaryCsp([domains[i] for i in range(n_vars)])
     try:

@@ -16,6 +16,7 @@ with per-coordinate digits d_1..d_a (digit = residue * (b+1) + tier) is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import is_connected
 from .instances import DualCmcInstance, PsiInstance
@@ -148,18 +149,16 @@ class GadgetParams:
         vec = self.f_maps[x][host_vertex]
         return self.coord_vertex(x, [self.digit(r, 0) for r in vec])
 
-    def hat_block(self, x: int):
-        """All-tier-zero vertices of block x (rho^a of them), ascending."""
-        digits = [0] * self.a
-        while True:
-            yield self.coord_vertex(x, [self.digit(r, 0) for r in digits])
-            for i in range(self.a):
-                digits[i] += 1
-                if digits[i] < self.rho:
-                    break
-                digits[i] = 0
-            else:
-                return
+    @cached_property
+    def hat_blocks(self) -> tuple[tuple[int, ...], ...]:
+        """All-tier-zero vertices of each block (rho^a per block), ascending."""
+        offsets = [0]
+        for i in range(self.a):
+            weight = (self.b + 1) * self.base**i
+            offsets = [off + r * weight for r in range(self.rho) for off in offsets]
+        return tuple(
+            tuple(1 + x * self.block_span + off for off in offsets) for x in range(self.h)
+        )
 
     def g_vector(self, alpha: int, v_x: int, v_y: int) -> tuple[int, ...]:
         """Combined field vector (length b) of a selected host edge."""
@@ -190,9 +189,7 @@ def build_a_edges(alpha: int, v_x: int, v_y: int, params: GadgetParams) -> set[t
     ey = params.hat_vertex(y, v_y)
     edges = {_norm(ex, ey)}
     for z in (x, y):
-        for w in params.hat_block(z):
-            if w != ex and w != ey:
-                edges.add((HUB, w))
+        edges.update((HUB, w) for w in params.hat_blocks[z] if w != ex and w != ey)
     return edges
 
 
@@ -212,20 +209,27 @@ def build_padding(
 
     For every setting of the non-alpha coordinates: a hub edge at the
     alpha-digit (0, 0), and for each residue r a star from center (r, 0) to
-    ((r + g_i) mod rho, i) for every position i of the combined vector.
+    ((r + g_i) mod rho, i) for every position i of the combined vector. The
+    stars are built once as offsets from the anchor, then shifted to each
+    anchor.
     """
     g = params.g_vector(alpha, v_x, v_y)
-    pos_weight = params.base ** (alpha - 1)
+    tier_weight = params.base ** (alpha - 1)
+    residue_weight = (params.b + 1) * tier_weight
+    rho = params.rho
+    tiers = [(gi, i * tier_weight) for i, gi in enumerate(g, 1)]
+    star = []
+    for r in range(rho):
+        center = r * residue_weight
+        for gi, tier in tiers:
+            leaf = (r + gi) % rho * residue_weight + tier
+            star.append((center, leaf) if center < leaf else (leaf, center))
     block_base = 1 + z * params.block_span
     edges = set()
     for rest in _free_offsets(params, alpha):
         anchor = block_base + rest
         edges.add((HUB, anchor))
-        for r in range(params.rho):
-            center = anchor + params.digit(r, 0) * pos_weight
-            for i in range(1, params.b + 1):
-                leaf = anchor + params.digit((r + g[i - 1]) % params.rho, i) * pos_weight
-                edges.add(_norm(center, leaf))
+        edges.update([(anchor + c, anchor + leaf) for c, leaf in star])
     return edges
 
 

@@ -81,9 +81,10 @@ class ColoredMultigraph:
 
     def require_full_palette(self) -> None:
         used = {c for _, _, c in self.edges}
-        missing = [c for c in range(1, self.p + 1) if c not in used]
-        if missing:
-            raise ValueError(f"colors with no edges: {missing}")
+        if len(used) < self.p:
+            # list a few missing colors without walking all of 1..p
+            missing = [c for c in range(1, min(self.p, len(used) + 10) + 1) if c not in used]
+            raise ValueError(f"{self.p - len(used)} colors with no edges, first: {missing}")
 
     def cut_colors(self, side) -> set[int]:
         """Colors with at least one edge crossing the cut (side, rest)."""
@@ -188,9 +189,13 @@ def solve_dual_bruteforce(d: DualCmcInstance, cap: int = DEFAULT_COMBINATION_CAP
     total = comb(d.p, d.a)
     if total > cap:
         raise CapExceeded(f"{total} combinations exceed the cap {cap}")
-    if d.vertex_count <= 1:
+    if d.vertex_count <= 1 or d.a > d.p:
         return Answer(False, None)
+    sizes = [len(es) for es in d.color_graphs]
     for combo in itertools.combinations(range(1, d.p + 1), d.a):
+        # fewer than n - 1 edges cannot connect n vertices
+        if sum(sizes[gid - 1] for gid in combo) < d.vertex_count - 1:
+            return Answer(True, combo)
         uf = UnionFind(d.vertex_count)
         for gid in combo:
             for u, v in d.color_graphs[gid - 1]:

@@ -374,7 +374,14 @@ def hit_overflow_fraction(
     n = 3 * ell if n is None else n
     p = round(3 * (1 + n / ell))
     threshold = 10 * cfg.c_hat * p * math.log(ell)
-    _, flow = expander_flow(ell, cfg.expander_seed, lp_tolerance=cfg.lp_tolerance)
+    _, flow = expander_flow(
+        ell,
+        cfg.expander_seed,
+        target=cfg.expander_target,
+        exhaustive_cap=cfg.expander_exhaustive_cap,
+        retries=cfg.expander_retries,
+        lp_tolerance=cfg.lp_tolerance,
+    )
     bad = 0
     for i in range(trials):
         rng = random.Random(seed * 100_003 + 7 * ell + i)

@@ -3,8 +3,9 @@
 Deliberately different algorithms from the package: subset combinations
 instead of vectorized masks, BFS instead of union-find, backtracking instead
 of product scans, DPLL instead of assignment enumeration, one LP commodity
-per vertex pair instead of per source. Any disagreement points at a bug on
-one of the two sides.
+per vertex pair instead of per source, gadget edges placed digit by digit
+instead of shifted from per-block tables. Any disagreement points at a bug
+on one of the two sides.
 """
 
 import itertools
@@ -198,3 +199,42 @@ def pairwise_congestion_lp(graph):
     )
     assert result.success, result.message
     return float(result.x[gamma_col])
+
+
+def naive_gadget_edges(alpha, v_x, v_y, params):
+    """Edge set of the gadget for host edge (v_x, v_y) on pattern edge alpha,
+    built one vertex at a time: every endpoint goes through params.digit and
+    params.coord_vertex, and the all-tier-zero vertices of a block are
+    re-enumerated on every call."""
+    a, b, rho = params.a, params.b, params.rho
+    x, y = params.edge_order[alpha - 1]
+
+    def norm(u, v):
+        return (u, v) if u < v else (v, u)
+
+    def hat_block(z):
+        for residues in itertools.product(range(rho), repeat=a):
+            yield params.coord_vertex(z, [params.digit(r, 0) for r in residues])
+
+    ex = params.coord_vertex(x, [params.digit(r, 0) for r in params.f_maps[x][v_x]])
+    ey = params.coord_vertex(y, [params.digit(r, 0) for r in params.f_maps[y][v_y]])
+    edges = {norm(ex, ey)}
+    for z in (x, y):
+        for w in hat_block(z):
+            if w not in (ex, ey):
+                edges.add((0, w))
+
+    g = params.f_maps[x][v_x] + params.f_maps[y][v_y]
+    for z in range(params.h):
+        for rest in itertools.product(range(params.base), repeat=a - 1):
+            def vertex(d):
+                digits = list(rest)
+                digits.insert(alpha - 1, d)
+                return params.coord_vertex(z, digits)
+
+            edges.add((0, vertex(params.digit(0, 0))))
+            for r in range(rho):
+                center = vertex(params.digit(r, 0))
+                for i in range(1, b + 1):
+                    edges.add(norm(center, vertex(params.digit((r + g[i - 1]) % rho, i))))
+    return frozenset(edges)

@@ -1,0 +1,152 @@
+"""Mutation fuzzing of the text parsers and the CLI that reads them.
+
+Each example takes a valid seed file and applies one to three mutations:
+truncate a line, swap an integer for a huge, negative or non-integer token,
+drop a line, or duplicate one. The parser must return or raise FormatError,
+and the CLI must exit 2 on every file the parser rejects. The `solve`
+commands, whose work the oracle caps bound, also run on every file the
+parser accepts and must exit 0, 1 or 2. `embed` and `reduce route` do work
+in proportion to the host's vertex count, which no cap bounds yet, so they
+run only on rejected files.
+
+Run as a script, `PYTHONPATH=src python tests/parser_fuzz.py [max_examples]`,
+under a memory limit, so that an allocation sized by a header count fails
+as a MemoryError instead of exhausting the machine;
+tests/test_cli.py::test_mutated_files_keep_exit_codes does this.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from colorcut import cli, formats
+
+CSP = "csp 2\ndom 0 a b\ndom 1 a b\ncon 0 1 a|b b|a\n"
+
+# format: (parser, seed text, CLI arguments with FILE for the mutated file,
+# whether the CLI also runs on files the parser accepts)
+SEEDS = {
+    "cmc": (
+        formats.parse_cmc,
+        "cmc 3 3 2 1\ne 0 1 1\ne 1 2 2\ne 0 2 2\n",
+        ["solve", "cmc", "FILE"],
+        True,
+    ),
+    "dcmc": (
+        formats.parse_dcmc,
+        "dcmc 3 2 1\ng 1\ne 0 1\ng 2\ne 1 2\ne 0 2\n",
+        ["solve", "dcmc", "FILE"],
+        True,
+    ),
+    "psi": (
+        formats.parse_psi,
+        "psi 2 2\npe 0 1\nblock 0 0 1\nblock 1 2 3\nhe 0 2\nhe 1 3\n",
+        ["solve", "psi", "FILE"],
+        True,
+    ),
+    "cnf": (formats.parse_cnf, "p cnf 3 2\n1 -2 3 0\n2 0\n", ["solve", "cnf", "FILE"], True),
+    "csp": (formats.parse_csp, CSP, ["solve", "csp", "FILE"], True),
+    "graph": (
+        formats.parse_graph,
+        "graph 4 3\ne 0 1\ne 1 2\ne 2 3\n",
+        ["embed", "FILE", "-k", "8", "-o", "OUT"],
+        False,
+    ),
+    "embedding": (
+        formats.parse_embedding,
+        "embed 2 1 2 2\nhost 0 1\nbranch 0 0\nbranch 1 1\nzeta 0 0\nzeta 1 1\n",
+        ["reduce", "route", "CSP", "--embed", "FILE", "-o", "OUT"],
+        False,
+    ),
+    "gadgetmap": (
+        formats.parse_gadget_map,
+        "gadgetmap 2\ncolor 1 1 0 2\ncolor 2 1 1 3\n",
+        None,
+        False,
+    ),
+}
+
+BAD_INTEGERS = ["99999999999", "-1", "-99999999999", "x", "1.5", "0"]
+
+
+def _is_int(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def mutated_files(draw):
+    name = draw(st.sampled_from(sorted(SEEDS)))
+    lines = SEEDS[name][1].splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        # the header line holds the counts, so it gets half of the draws
+        i = draw(st.just(0) | st.integers(0, len(lines) - 1))
+        fields = lines[i].split()
+        kind = draw(st.sampled_from(["swap", "swap", "truncate", "drop", "duplicate"]))
+        if kind == "truncate":
+            lines[i] = " ".join(fields[: draw(st.integers(0, max(len(fields) - 1, 0)))])
+        elif kind == "swap":
+            ints = [j for j, f in enumerate(fields) if _is_int(f)]
+            if ints:
+                fields[draw(st.sampled_from(ints))] = draw(st.sampled_from(BAD_INTEGERS))
+                lines[i] = " ".join(fields)
+        elif kind == "drop":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+    return name, "".join(line + "\n" for line in lines)
+
+
+def check(name: str, text: str, workdir: Path) -> None:
+    parser, _, argv, run_accepted = SEEDS[name]
+    try:
+        parser(text)
+        rejected = False
+    except formats.FormatError:
+        rejected = True
+    if argv is None or not (rejected or run_accepted):
+        return
+    path = workdir / name
+    path.write_text(text)
+    (workdir / "base.csp").write_text(CSP)
+    paths = {"FILE": str(path), "CSP": str(workdir / "base.csp"), "OUT": str(workdir / "out")}
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = cli.main([paths.get(arg, arg) for arg in argv])
+    assert code in (0, 1, 2), (name, text, code)
+    if rejected:
+        assert code == 2, (name, text, code, sink.getvalue())
+
+
+def run(max_examples: int) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+
+        @settings(
+            max_examples=max_examples,
+            derandomize=True,
+            database=None,
+            deadline=None,
+            suppress_health_check=list(HealthCheck),
+        )
+        @given(mutated_files())
+        def property_(case):
+            check(*case, workdir)
+
+        property_()
+
+
+if __name__ == "__main__":
+    run(int(sys.argv[1]) if len(sys.argv) > 1 else 300)

@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,14 +97,76 @@ def test_error_exit_codes(capsys, files, tmp_path):
         (("solve", "psi", "{bad}"), "psi 2 2\npe 0 1\nblock 0 0\nblock 1 1\nhe 0 1\nblock\n"),
         (("solve", "csp", "{bad}"), "csp 1\ndom\n"),
         (("reduce", "route", "{csp}", "--embed", "{bad}", "-o", "{out}"), "embed 1 0 1 1\nbranch\n"),
+        (("solve", "dcmc", "{bad}"), "dcmc 3 1 1\ng 1\ne 0\n"),
+        (("solve", "dcmc", "{bad}"), "dcmc 3 1 1\ng 1\ne 0 1 2\n"),
+        (("solve", "dcmc", "{bad}"), "dcmc 3 1 1\ng\ne 0 1\n"),
+        (("solve", "dcmc", "{bad}"), "dcmc 3 1 1\ng 1 2\ne 0 1\n"),
+        (("embed", "{bad}", "-k", "8", "-o", "{out}"), "graph 2 1\ne 0\n"),
     ],
-    ids=["psi", "csp", "embedding"],
+    ids=[
+        "psi",
+        "csp",
+        "embedding",
+        "dcmc-short-e",
+        "dcmc-long-e",
+        "dcmc-short-g",
+        "dcmc-long-g",
+        "embed",
+    ],
 )
 def test_truncated_line_exit_code(capsys, files, tmp_path, argv, text):
     paths = {"bad": files("bad", text), "csp": files("ok.csp", "csp 1\ndom 0 a\n"), "out": str(tmp_path / "out")}
     code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2
     assert err.startswith("error: line ")
+
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+MEMORY_LIMIT = 2_000_000 * 1024  # bytes of address space for child processes
+
+
+def run_limited(argv, cwd):
+    """Run a Python child under an address-space limit, so that an
+    allocation sized by an absurd count fails fast instead of exhausting
+    the machine."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT)),
+    )
+
+
+@pytest.mark.parametrize(
+    "fmt,text,code,witness",
+    [
+        ("cmc", "cmc 3 2 99999999999 1\ne 0 1 1\ne 1 2 1\n", 2, None),
+        ("psi", "psi 99999999999 1\nblock 0 0\n", 2, None),
+        ("csp", "csp 99999999999\ndom 0 a\n", 2, None),
+        ("dcmc", "dcmc 99999999999 1 1\ng 1\ne 0 1\n", 0, "1"),
+        ("dcmc", "dcmc 3 1 99999999999\ng 1\ne 0 1\n", 1, None),
+    ],
+    ids=["cmc", "psi", "csp", "dcmc", "dcmc-budget"],
+)
+def test_huge_header_counts(tmp_path, fmt, text, code, witness):
+    path = tmp_path / f"huge.{fmt}"
+    path.write_text(text)
+    proc = run_limited(["-m", "colorcut", "solve", fmt, str(path)], tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if witness is not None:
+        assert report(proc.stdout)["witness"] == witness
+
+
+def test_mutated_files_keep_exit_codes(tmp_path):
+    script = Path(__file__).with_name("parser_fuzz.py")
+    proc = run_limited([str(script)], tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_reduce_sat2csp(capsys, files, tmp_path):

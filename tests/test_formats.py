@@ -83,6 +83,24 @@ def test_dcmc_empty_color_graphs_allowed():
     assert d.color_graphs == (frozenset(), frozenset({(0, 1)}))
 
 
+def test_dcmc_parse_tolerates_layout():
+    text = """
+    # header, blocks and edges with comments, blanks and extra whitespace
+    dcmc   4 2 1   # four vertices
+
+    g 1
+      e 2 0
+    e 0 2	# the same edge again
+    e 3   1
+    g 2 # second block
+    e 1 3
+    e 3 1
+    """
+    d = parse_dcmc(text)
+    assert d.color_graphs == (frozenset({(0, 2), (1, 3)}), frozenset({(1, 3)}))
+    assert write_dcmc(d) == "dcmc 4 2 1\ng 1\ne 0 2\ne 1 3\ng 2\ne 1 3\n"
+
+
 def test_dcmc_parse_errors():
     with pytest.raises(FormatError):
         parse_dcmc("dcmc 2 1 1\ng 2\n")  # blocks must start at 1

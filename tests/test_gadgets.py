@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+import oracles
 from colorcut.gadgets import (
     HUB,
     GadgetParams,
@@ -10,6 +12,7 @@ from colorcut.gadgets import (
     _index_to_vector,
     build_a_edges,
     build_f_maps,
+    build_gadget,
     build_padding,
     choose_prime,
     connectivize_pattern,
@@ -22,6 +25,7 @@ from colorcut.instances import (
     solve_dual_bruteforce,
     solve_psi_bruteforce,
 )
+from colorcut.verify import EXHAUSTIVE_PATTERNS, exhaustive_gadget_family
 
 
 def _params(inst: PsiInstance, rho: int) -> GadgetParams:
@@ -123,7 +127,7 @@ def test_decode_inverts_coord_vertex():
 def test_hat_block_and_hat_vertex():
     inst = PsiInstance(2, ((0, 1),), 2, _blocks(2, 2), frozenset())
     p = _params(inst, 3)
-    hats = list(p.hat_block(1))
+    hats = list(p.hat_blocks[1])
     assert len(hats) == 3  # rho^a
     assert hats == sorted(hats)
     for w in hats:
@@ -166,6 +170,44 @@ def test_padding_count_and_shape():
         assert 1 <= lt <= p.b
         g = p.g_vector(1, 0, 2)
         assert lr == (r + g[lt - 1]) % p.rho
+
+
+def _assert_gadgets_match_naive(inst: PsiInstance) -> int:
+    red = reduce_psi_to_dcmc(inst)
+    for graph, (alpha, vx, vy) in zip(red.dual.color_graphs, red.color_map):
+        edges = build_gadget(alpha, vx, vy, red.params).edges
+        assert edges == graph
+        assert edges == oracles.naive_gadget_edges(alpha, vx, vy, red.params)
+    return red.params.rho
+
+
+def test_gadgets_match_naive_builder_on_the_family():
+    # the gadget of a color depends only on the pattern, n and the color, so
+    # the instance with every admissible host edge holds every color of the
+    # family for its (pattern, n)
+    groups = itertools.groupby(
+        exhaustive_gadget_family(), key=lambda inst: (inst.pattern_edges, inst.block_size)
+    )
+    fullest = [max(group, key=lambda inst: len(inst.host_edges)) for _, group in groups]
+    assert len(fullest) == 2 * len(EXHAUSTIVE_PATTERNS)
+    for inst in fullest:
+        _assert_gadgets_match_naive(inst)
+
+
+@pytest.mark.parametrize(
+    "h,pattern,n,host_count,rho",
+    [
+        (2, ((0, 1),), 144, 4, 149),  # the top sat-chain rung
+        (3, ((0, 1), (1, 2)), 3, 4, 3),
+        (3, ((0, 1), (0, 2), (1, 2)), 2, 3, 3),
+    ],
+    ids=["a1-rho149", "a2-path", "a3-triangle"],
+)
+def test_gadgets_match_naive_builder(h, pattern, n, host_count, rho):
+    blocks = _blocks(h, n)
+    admissible = sorted((u, v) for x, y in pattern for u in blocks[x] for v in blocks[y])
+    host = frozenset(random.Random(n).sample(admissible, host_count))
+    assert _assert_gadgets_match_naive(PsiInstance(h, pattern, n, blocks, host)) == rho
 
 
 def test_reduction_rejects_bad_patterns():

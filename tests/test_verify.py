@@ -1,7 +1,10 @@
 import itertools
 import random
 
+import pytest
+
 from colorcut.config import RunConfig
+from colorcut.embedding import ExpansionTargetUnmet
 from colorcut.instances import PsiInstance, solve_sat_bruteforce
 from colorcut.verify import (
     EXHAUSTIVE_PATTERNS,
@@ -132,6 +135,12 @@ def test_flow_congestion_ratios_small():
 def test_hit_overflow_fraction_small():
     fraction = hit_overflow_fraction(CFG, 4, trials=20, seed=0)
     assert 0.0 <= fraction <= 0.1
+
+
+def test_hit_overflow_fraction_uses_configured_host():
+    cfg = RunConfig(expander_target=1.0, expander_exhaustive_cap=4, expander_retries=1)
+    with pytest.raises(ExpansionTargetUnmet):
+        hit_overflow_fraction(cfg, 8, trials=1, seed=0)
 
 
 def test_expander_certificates_range():
