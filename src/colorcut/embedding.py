@@ -343,10 +343,7 @@ class Embedding:
     depth: int = field(init=False)
 
     def __post_init__(self) -> None:
-        # counted per branch-set member, so a huge host vertex count costs nothing
-        n = self.host.vertex_count
-        counts = Counter(w for bs in self.branch_sets.values() for w in bs if 0 <= w < n)
-        self.depth = max(counts.values(), default=0)
+        self.depth = self.compute_depth()
 
     @property
     def reduced(self) -> bool:
@@ -362,7 +359,11 @@ class Embedding:
         return counts
 
     def compute_depth(self) -> int:
-        return max(self.depth_profile(), default=0)
+        # counted per branch-set member, so a huge host vertex count costs nothing;
+        # ids outside the host are validate_embedding's to report
+        n = self.host.vertex_count
+        counts = Counter(w for bs in self.branch_sets.values() for w in bs if 0 <= w < n)
+        return max(counts.values(), default=0)
 
 
 def depth_bound(k: int, n: int, m: int, big_c: float) -> float:

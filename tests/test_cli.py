@@ -128,9 +128,11 @@ MEMORY_LIMIT = 2_000_000 * 1024  # bytes of address space for child processes
 def run_limited(argv, cwd):
     """Run a Python child under an address-space limit, so that an
     allocation sized by an absurd count fails fast instead of exhausting
-    the machine."""
+    the machine. BLAS runs single-threaded, so the child's footprint does
+    not grow with the host's core count."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    env = dict(os.environ, PYTHONPATH=path, **threads)
     return subprocess.run(
         [sys.executable, *argv],
         cwd=cwd,
