@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import formats, verify
 from .config import RunConfig, load_config
@@ -35,45 +36,14 @@ def _config_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("run configuration")
     group.add_argument("--config", metavar="PATH", help="JSON config file")
-    group.add_argument("--seed", type=int)
-    group.add_argument("--trials", type=int)
-    group.add_argument("--cap-cmc-vertices", type=int, dest="cap_cmc_vertices")
-    group.add_argument("--cap-dual-combinations", type=int, dest="cap_dual_combinations")
-    group.add_argument("--cap-psi-assignments", type=int, dest="cap_psi_assignments")
-    group.add_argument("--cap-csp-assignments", type=int, dest="cap_csp_assignments")
-    group.add_argument("--cap-sat-variables", type=int, dest="cap_sat_variables")
-    group.add_argument("--expander-exhaustive-cap", type=int, dest="expander_exhaustive_cap")
-    group.add_argument("--expander-target", type=float, dest="expander_target")
-    group.add_argument("--expander-seed", type=int, dest="expander_seed")
-    group.add_argument("--expander-retries", type=int, dest="expander_retries")
-    group.add_argument("--lp-tolerance", type=float, dest="lp_tolerance")
-    group.add_argument("--embed-retries", type=int, dest="embed_retries")
-    group.add_argument("--c-hat", type=float, dest="c_hat")
-    group.add_argument("--big-c-hat", type=float, dest="big_c_hat")
+    for f in fields(RunConfig):
+        flag = "--" + f.name.replace("_", "-")
+        group.add_argument(flag, type=type(f.default), dest=f.name)
     return parent
 
 
-_CONFIG_KEYS = (
-    "seed",
-    "trials",
-    "cap_cmc_vertices",
-    "cap_dual_combinations",
-    "cap_psi_assignments",
-    "cap_csp_assignments",
-    "cap_sat_variables",
-    "expander_exhaustive_cap",
-    "expander_target",
-    "expander_seed",
-    "expander_retries",
-    "lp_tolerance",
-    "embed_retries",
-    "c_hat",
-    "big_c_hat",
-)
-
-
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    overrides = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     return load_config(getattr(args, "config", None), **overrides)
 
 
@@ -207,18 +177,7 @@ def _cmd_reduce_sat2dcmc(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     formula = formats.parse_cnf(_read(args.file))
     try:
-        run = sat_to_dcmc(
-            formula,
-            cfg.seed,
-            retries=cfg.embed_retries,
-            big_c=cfg.big_c_hat,
-            domain_cap=cfg.cap_csp_assignments,
-            expander_seed=cfg.expander_seed,
-            target=cfg.expander_target,
-            exhaustive_cap=cfg.expander_exhaustive_cap,
-            expander_retries=cfg.expander_retries,
-            lp_tolerance=cfg.lp_tolerance,
-        )
+        run = sat_to_dcmc(formula, cfg.seed, cfg)
     except EmbeddingFailed as exc:
         print(f"embedding failed: {exc}", file=sys.stderr)
         return 1
@@ -238,18 +197,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     graph = formats.parse_graph(_read(args.file))
     try:
-        emb, used_seed = embed_with_retry(
-            graph,
-            args.k,
-            cfg.seed,
-            retries=cfg.embed_retries,
-            big_c=cfg.big_c_hat,
-            expander_seed=cfg.expander_seed,
-            target=cfg.expander_target,
-            exhaustive_cap=cfg.expander_exhaustive_cap,
-            expander_retries=cfg.expander_retries,
-            lp_tolerance=cfg.lp_tolerance,
-        )
+        emb, used_seed = embed_with_retry(graph, args.k, cfg.seed, cfg)
     except EmbeddingFailed as exc:
         print(f"embedding failed: {exc}", file=sys.stderr)
         return 1
@@ -276,7 +224,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 _SUITES = {
     "duality": verify.verify_duality,
-    "gadgets": lambda cfg: verify.verify_gadgets(cfg),
+    "gadgets": verify.verify_gadgets,
     "embedding": verify.verify_embedding,
     "pipeline": verify.verify_pipeline,
 }

@@ -11,9 +11,22 @@ import json
 import os
 from dataclasses import dataclass, fields, replace
 
-from . import embedding, flows, instances
+from . import flows, instances
 
 ENV_CONFIG_PATH = "COLORCUT_CONFIG"
+
+DEFAULT_EXPANSION_TARGET = 0.1
+DEFAULT_EXHAUSTIVE_CAP = 16
+DEFAULT_EXPANDER_RETRIES = 64
+DEFAULT_EMBED_RETRIES = 20
+DEFAULT_EXPANDER_SEED = 0
+
+# Calibrated constants (see the calibrate command): congestion ratios are
+# LP optima, independent of how the flow splits into paths, and peak at 1.60
+# (ell = 16); depth ratios peak at 1.95 over 100 trials; the single-vertex
+# fallback for k < 8 needs BIG_C_HAT >= 7 / ln(7) ~ 3.6.
+DEFAULT_C_HAT = 2.0
+DEFAULT_BIG_C_HAT = 4.0
 
 
 @dataclass(frozen=True)
@@ -25,14 +38,14 @@ class RunConfig:
     cap_psi_assignments: int = instances.DEFAULT_ASSIGNMENT_CAP
     cap_csp_assignments: int = instances.DEFAULT_ASSIGNMENT_CAP
     cap_sat_variables: int = instances.DEFAULT_SAT_VARIABLE_CAP
-    expander_exhaustive_cap: int = embedding.DEFAULT_EXHAUSTIVE_CAP
-    expander_target: float = embedding.DEFAULT_EXPANSION_TARGET
-    expander_seed: int = embedding.DEFAULT_EXPANDER_SEED
-    expander_retries: int = embedding.DEFAULT_EXPANDER_RETRIES
+    expander_exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP
+    expander_target: float = DEFAULT_EXPANSION_TARGET
+    expander_seed: int = DEFAULT_EXPANDER_SEED
+    expander_retries: int = DEFAULT_EXPANDER_RETRIES
     lp_tolerance: float = flows.DEFAULT_LP_TOLERANCE
-    embed_retries: int = embedding.DEFAULT_EMBED_RETRIES
-    c_hat: float = embedding.DEFAULT_C_HAT
-    big_c_hat: float = embedding.DEFAULT_BIG_C_HAT
+    embed_retries: int = DEFAULT_EMBED_RETRIES
+    c_hat: float = DEFAULT_C_HAT
+    big_c_hat: float = DEFAULT_BIG_C_HAT
 
     def __post_init__(self) -> None:
         for name in (

@@ -18,23 +18,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .flows import DEFAULT_LP_TOLERANCE, ConcurrentFlow, min_congestion_flow
+from .config import (
+    DEFAULT_BIG_C_HAT,
+    DEFAULT_C_HAT,
+    DEFAULT_EMBED_RETRIES,
+    DEFAULT_EXHAUSTIVE_CAP,
+    DEFAULT_EXPANDER_RETRIES,
+    DEFAULT_EXPANDER_SEED,
+    DEFAULT_EXPANSION_TARGET,
+    RunConfig,
+)
+from .flows import ConcurrentFlow, min_congestion_flow
 from .graphs import Graph, connected_in_subset
-from .instances import CapExceeded
-
-DEFAULT_EXPANSION_TARGET = 0.1
-DEFAULT_EXHAUSTIVE_CAP = 16
-DEFAULT_EXPANDER_RETRIES = 64
-DEFAULT_EMBED_RETRIES = 20
-DEFAULT_EXPANDER_SEED = 0
-SPARSITY_VERTEX_CAP = 12
-
-# Calibrated constants (see the calibrate command): congestion ratios are
-# LP optima, independent of how the flow splits into paths, and peak at 1.60
-# (ell = 16); depth ratios peak at 1.95 over 100 trials; the single-vertex
-# fallback for k < 8 needs BIG_C_HAT >= 7 / ln(7) ~ 3.6.
-DEFAULT_C_HAT = 2.0
-DEFAULT_BIG_C_HAT = 4.0
+from .instances import DEFAULT_GRAPH_VERTEX_CAP, CapExceeded
 
 
 class InvalidK(ValueError):
@@ -43,10 +39,6 @@ class InvalidK(ValueError):
 
 class ExpansionTargetUnmet(Exception):
     """No sampled host reached the expansion target; lower the target."""
-
-
-class NotASeparation(ValueError):
-    """The pair (A, B) is not a separation of the host graph."""
 
 
 class EmbeddingFailed(Exception):
@@ -160,18 +152,13 @@ def _chord_cycle(ell: int) -> Graph:
     return Graph.make(ell, edges)
 
 
-def build_expander(
-    ell: int,
-    seed: int = DEFAULT_EXPANDER_SEED,
-    *,
-    target: float = DEFAULT_EXPANSION_TARGET,
-    exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    retries: int = DEFAULT_EXPANDER_RETRIES,
-) -> ExpanderCertificate:
+def build_expander(ell: int, cfg: RunConfig = RunConfig()) -> ExpanderCertificate:
     """Connected max-degree-3 host on ell vertices whose certificate meets
-    the expansion target: exact subset enumeration up to exhaustive_cap
-    vertices, a spectral lower bound beyond, resampling the configuration
-    model until the certificate clears the target."""
+    cfg.expander_target: exact subset enumeration up to
+    cfg.expander_exhaustive_cap vertices, a spectral lower bound beyond,
+    resampling the configuration model (seeded by cfg.expander_seed) up to
+    cfg.expander_retries times until the certificate clears the target."""
+    exhaustive_cap, target = cfg.expander_exhaustive_cap, cfg.expander_target
     if ell < 1:
         raise ValueError("need at least one vertex")
     if ell == 1:
@@ -180,8 +167,8 @@ def build_expander(
         return _certify(Graph.make(2, [(0, 1)]), exhaustive_cap)
     if ell == 3:
         return _certify(Graph.make(3, [(0, 1), (0, 2), (1, 2)]), exhaustive_cap)
-    rng = random.Random(1_000_003 * seed + ell)
-    for _ in range(retries):
+    rng = random.Random(1_000_003 * cfg.expander_seed + ell)
+    for _ in range(cfg.expander_retries):
         graph = _configuration_cubic(ell, rng)
         if graph is None or not graph.is_connected():
             continue
@@ -194,69 +181,6 @@ def build_expander(
     raise ExpansionTargetUnmet(
         f"no host on {ell} vertices certified above {target}; lower the expansion target"
     )
-
-
-# ---------------------------------------------------------------------------
-# Separation sparsity
-# ---------------------------------------------------------------------------
-
-
-def verify_sparsity(graph: Graph, side_a, side_b) -> Fraction:
-    """Exact sparsity |A cap B| / (|A| * |B|) of a separation of V(H).
-
-    (A, B) is a separation when A and B cover every vertex, both are
-    nonempty, and no edge joins A-only to B-only vertices; anything else
-    raises NotASeparation.
-    """
-    a_side, b_side = frozenset(side_a), frozenset(side_b)
-    everything = set(range(graph.vertex_count))
-    if (a_side | b_side) != everything:
-        raise NotASeparation("A and B must cover the vertex set")
-    if not a_side or not b_side:
-        raise NotASeparation("both sides must be nonempty")
-    only_a = a_side - b_side
-    only_b = b_side - a_side
-    for u, v in graph.edges:
-        if (u in only_a and v in only_b) or (v in only_a and u in only_b):
-            raise NotASeparation(f"edge ({u}, {v}) crosses between the exclusive sides")
-    return Fraction(len(a_side & b_side), len(a_side) * len(b_side))
-
-
-def min_sparsity_exhaustive(graph: Graph) -> Fraction:
-    """Minimum sparsity over all separations, exactly.
-
-    Every separation (A, B) with interior X = A - B is dominated by the
-    separation (X + N(X), V - X), whose sparsity |N(X)| / ((|X| + |N(X)|)
-    * (n - |X|)) is never larger; separations with empty interior collapse
-    to the trivial (V, V) sparsity 1/n. Enumerating the 2^n - 2 interiors
-    plus the trivial case is therefore exhaustive.
-    """
-    n = graph.vertex_count
-    if n > SPARSITY_VERTEX_CAP:
-        raise CapExceeded(f"{n} vertices exceed the sparsity enumeration cap {SPARSITY_VERTEX_CAP}")
-    if n < 1:
-        raise ValueError("empty graph")
-    adj_mask = [0] * n
-    for u, v in graph.edges:
-        adj_mask[u] |= 1 << v
-        adj_mask[v] |= 1 << u
-    best = Fraction(1, n)
-    full = (1 << n) - 1
-    for interior in range(1, full):
-        neighborhood = 0
-        rest = interior
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            neighborhood |= adj_mask[v]
-            rest &= rest - 1
-        neighborhood &= ~interior
-        boundary = neighborhood.bit_count()
-        size_a = interior.bit_count() + boundary
-        size_b = n - interior.bit_count()
-        value = Fraction(boundary, size_a * size_b)
-        if value < best:
-            best = value
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -293,21 +217,6 @@ def reduce_degrees(graph: Graph) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
             for i, w in enumerate(group):
                 new_edges.append((w, group[(i + 1) % len(group)]))
     return Graph.make(next_id, new_edges), tuple(groups)
-
-
-def contracted_minor(reduced: Graph, groups) -> Graph:
-    """Contract each replacement group back to a single vertex (for checks:
-    the contraction of the reduced graph contains the original)."""
-    owner = {}
-    for orig, group in enumerate(groups):
-        for w in group:
-            owner[w] = orig
-    edges = set()
-    for u, v in reduced.edges:
-        ou, ov = owner[u], owner[v]
-        if ou != ov:
-            edges.add((ou, ov) if ou < ov else (ov, ou))
-    return Graph.make(len(groups), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -374,22 +283,22 @@ _FLOW_CACHE: dict[tuple, tuple[ExpanderCertificate, ConcurrentFlow]] = {}
 
 
 def expander_flow(
-    ell: int,
-    expander_seed: int = DEFAULT_EXPANDER_SEED,
-    *,
-    target: float = DEFAULT_EXPANSION_TARGET,
-    exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    retries: int = DEFAULT_EXPANDER_RETRIES,
-    lp_tolerance: float = DEFAULT_LP_TOLERANCE,
+    ell: int, cfg: RunConfig = RunConfig()
 ) -> tuple[ExpanderCertificate, ConcurrentFlow]:
-    """Certified expander plus its concurrent flow, cached per argument
-    tuple so repeated embeddings at the same budget reuse one LP solve."""
-    key = (ell, expander_seed, target, exhaustive_cap, retries, lp_tolerance)
+    """Certified expander plus its concurrent flow, cached per host so
+    repeated embeddings at the same budget reuse one LP solve. The key holds
+    ell and exactly the fields that change the host or the flow."""
+    key = (
+        ell,
+        cfg.expander_seed,
+        cfg.expander_target,
+        cfg.expander_exhaustive_cap,
+        cfg.expander_retries,
+        cfg.lp_tolerance,
+    )
     if key not in _FLOW_CACHE:
-        cert = build_expander(
-            ell, expander_seed, target=target, exhaustive_cap=exhaustive_cap, retries=retries
-        )
-        flow = min_congestion_flow(cert.graph, lp_tolerance)
+        cert = build_expander(ell, cfg)
+        flow = min_congestion_flow(cert.graph, cfg.lp_tolerance)
         _FLOW_CACHE[key] = (cert, flow)
     return _FLOW_CACHE[key]
 
@@ -404,18 +313,7 @@ def _edge_rng(seed: int, edge_index: int) -> random.Random:
     return random.Random(seed * 1_000_003 + edge_index)
 
 
-def embed(
-    graph: Graph,
-    k: int,
-    seed: int,
-    *,
-    big_c: float = DEFAULT_BIG_C_HAT,
-    expander_seed: int = DEFAULT_EXPANDER_SEED,
-    target: float = DEFAULT_EXPANSION_TARGET,
-    exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    expander_retries: int = DEFAULT_EXPANDER_RETRIES,
-    lp_tolerance: float = DEFAULT_LP_TOLERANCE,
-) -> Embedding:
+def embed(graph: Graph, k: int, seed: int, cfg: RunConfig = RunConfig()) -> Embedding:
     """Randomized embedding of `graph` into a host with |V| + |E| <= k.
 
     k < 8 collapses everything onto a single host vertex. Otherwise the
@@ -423,13 +321,17 @@ def embed(
     host (padded with isolated vertices up to floor(k/4)); otherwise every
     cross-bucket edge of the bucketed graph is routed along two flow paths
     to a uniform random meet vertex on a certified expander with floor(k/4)
-    vertices. Raises EmbeddingFailed when the audited depth lands above
-    big_c * (1 + (n+m)/k) * ln k.
+    vertices (built from cfg's expander fields). Raises EmbeddingFailed when
+    the audited depth lands above cfg.big_c_hat * (1 + (n+m)/k) * ln k, and
+    CapExceeded when the graph has more than DEFAULT_GRAPH_VERTEX_CAP
+    vertices.
     """
     if k < 2:
         raise InvalidK(f"k={k} is below the minimum budget 2")
     n, m = graph.vertex_count, graph.edge_count
-    bound = depth_bound(k, n, m, big_c)
+    if n > DEFAULT_GRAPH_VERTEX_CAP:
+        raise CapExceeded(f"{n} vertices exceed the embedding cap {DEFAULT_GRAPH_VERTEX_CAP}")
+    bound = depth_bound(k, n, m, cfg.big_c_hat)
 
     if k < 8:
         host = Graph.make(1, [])
@@ -453,14 +355,7 @@ def embed(
             raise EmbeddingFailed(emb.depth, bound, seed)
         return emb
 
-    cert, flow = expander_flow(
-        ell,
-        expander_seed,
-        target=target,
-        exhaustive_cap=exhaustive_cap,
-        retries=expander_retries,
-        lp_tolerance=lp_tolerance,
-    )
+    cert, flow = expander_flow(ell, cfg)
     host = cert.graph
     zeta = {w: w % ell for w in range(rn)}
     reduced_branch: list[set[int]] = [{zeta[w]} for w in range(rn)]
@@ -493,14 +388,15 @@ def embed(
 
 
 def embed_with_retry(
-    graph: Graph, k: int, seed: int, retries: int = DEFAULT_EMBED_RETRIES, **kwargs
+    graph: Graph, k: int, seed: int, cfg: RunConfig = RunConfig()
 ) -> tuple[Embedding, int]:
-    """Retry embed with seeds seed, seed+1, ... and return (embedding, seed
-    that worked); re-raises the last EmbeddingFailed when all attempts fail."""
+    """Retry embed with seeds seed, seed+1, ... (cfg.embed_retries attempts)
+    and return (embedding, seed that worked); re-raises the last
+    EmbeddingFailed when all attempts fail."""
     last: EmbeddingFailed | None = None
-    for attempt in range(max(1, retries)):
+    for attempt in range(max(1, cfg.embed_retries)):
         try:
-            return embed(graph, k, seed + attempt, **kwargs), seed + attempt
+            return embed(graph, k, seed + attempt, cfg), seed + attempt
         except EmbeddingFailed as exc:
             last = exc
     assert last is not None
@@ -611,22 +507,17 @@ __all__ = [
     "ExpanderCertificate",
     "ExpansionTargetUnmet",
     "InvalidK",
-    "NotASeparation",
     "PathDraw",
-    "SPARSITY_VERTEX_CAP",
     "audit_congestion",
     "build_expander",
     "clear_flow_cache",
-    "contracted_minor",
     "depth_bound",
     "edge_expansion_exhaustive",
     "embed",
     "embed_with_retry",
     "expander_flow",
-    "min_sparsity_exhaustive",
     "reduce_degrees",
     "sample_path_family",
     "spectral_expansion_bound",
     "validate_embedding",
-    "verify_sparsity",
 ]

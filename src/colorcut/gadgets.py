@@ -103,15 +103,6 @@ def build_f_maps(inst: PsiInstance, rho: int) -> tuple[dict[int, tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class WCoordinate:
-    """Decoded gadget vertex: block is None for the hub, else the pattern
-    vertex, with one (residue, tier) pair per pattern edge."""
-
-    block: int | None
-    coords: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
 class GadgetParams:
     """Sizing and field data shared by every gadget of one reduction."""
 
@@ -164,17 +155,6 @@ class GadgetParams:
         """Combined field vector (length b) of a selected host edge."""
         x, y = self.edge_order[alpha - 1]
         return self.f_maps[x][v_x] + self.f_maps[y][v_y]
-
-    def decode_vertex(self, w: int) -> WCoordinate:
-        if w == HUB:
-            return WCoordinate(None, ())
-        w -= 1
-        z, rest = divmod(w, self.block_span)
-        coords = []
-        for _ in range(self.a):
-            rest, d = divmod(rest, self.base)
-            coords.append((d // (self.b + 1), d % (self.b + 1)))
-        return WCoordinate(z, tuple(coords))
 
 
 def _norm(u: int, v: int) -> tuple[int, int]:
@@ -346,7 +326,6 @@ __all__ = [
     "NoPrimeInRange",
     "PatternDisconnected",
     "PsiReduction",
-    "WCoordinate",
     "WitnessDecodeError",
     "build_a_edges",
     "build_f_maps",

@@ -135,20 +135,6 @@ def connected_in_subset(graph: Graph, subset) -> bool:
     return seen == sub
 
 
-def random_simple_graph(n: int, m: int, rng: random.Random) -> Graph:
-    """Uniformly draw m distinct edges on n vertices (rejection sampling)."""
-    if m > n * (n - 1) // 2:
-        raise ValueError("too many edges for a simple graph")
-    chosen: set[tuple[int, int]] = set()
-    while len(chosen) < m:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v:
-            continue
-        chosen.add((u, v) if u < v else (v, u))
-    return Graph.make(n, chosen)
-
-
 def random_max_degree3_graph(n: int, m: int, rng: random.Random) -> Graph:
     """Random simple graph with max degree 3 and exactly m edges.
 

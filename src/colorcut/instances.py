@@ -23,6 +23,9 @@ DEFAULT_CMC_VERTEX_CAP = 24
 DEFAULT_COMBINATION_CAP = 10**6
 DEFAULT_ASSIGNMENT_CAP = 10**6
 DEFAULT_SAT_VARIABLE_CAP = 20
+# graphs and hosts read from files: commands that build per-vertex tables
+# refuse a header count above this before allocating
+DEFAULT_GRAPH_VERTEX_CAP = 10**6
 
 
 class CapExceeded(Exception):
@@ -146,16 +149,6 @@ def solve_cmc_bruteforce(g: ColoredMultigraph, cap: int = DEFAULT_CMC_VERTEX_CAP
     return Answer(True, witness)
 
 
-def min_cut_color_count(g: ColoredMultigraph, cap: int = DEFAULT_CMC_VERTEX_CAP) -> int:
-    """The optimum value itself (min colors over proper cuts); n >= 2 only."""
-    if g.vertex_count > cap:
-        raise CapExceeded(f"{g.vertex_count} vertices exceed the cap {cap}")
-    if g.vertex_count < 2:
-        raise ValueError("no proper cut exists on fewer than two vertices")
-    best, _ = _cmc_minimum(g)
-    return best
-
-
 @dataclass(frozen=True)
 class DualCmcInstance:
     """Fixed vertex set W with p edge sets over it; select exactly `a` of
@@ -275,10 +268,6 @@ class PsiInstance:
                 raise ValueError(f"host edge ({u}, {v}) stays inside block {bu}")
             if (min(bu, bv), max(bu, bv)) not in pat:
                 raise ValueError(f"host edge ({u}, {v}) joins non-adjacent blocks {bu}, {bv}")
-
-    @property
-    def host_vertex_count(self) -> int:
-        return self.pattern_vertex_count * self.block_size
 
     def block_assignment(self) -> list[int]:
         block_of = [0] * (self.pattern_vertex_count * self.block_size)
@@ -447,7 +436,6 @@ __all__ = [
     "cmc_to_dual",
     "dual_to_cmc",
     "is_connected",
-    "min_cut_color_count",
     "psi_selection_ok",
     "solve_cmc_bruteforce",
     "solve_csp_bruteforce",

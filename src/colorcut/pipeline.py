@@ -14,15 +14,18 @@ import math
 from dataclasses import dataclass
 from typing import Hashable
 
-from .embedding import (
-    DEFAULT_BIG_C_HAT,
-    DEFAULT_EMBED_RETRIES,
-    Embedding,
-    embed_with_retry,
-)
+from .config import RunConfig
+from .embedding import Embedding, embed_with_retry
 from .gadgets import PsiReduction, reduce_psi_to_dcmc
 from .graphs import Graph, connected_in_subset, is_connected
-from .instances import DEFAULT_ASSIGNMENT_CAP, BinaryCsp, CapExceeded, CnfFormula, PsiInstance
+from .instances import (
+    DEFAULT_ASSIGNMENT_CAP,
+    DEFAULT_GRAPH_VERTEX_CAP,
+    BinaryCsp,
+    CapExceeded,
+    CnfFormula,
+    PsiInstance,
+)
 
 
 class MalformedClause(ValueError):
@@ -107,9 +110,6 @@ class RoutedCspContext:
     members: tuple[tuple[int, ...], ...]
     csp: BinaryCsp
 
-    def member_index(self, w: int, var: int) -> int:
-        return self.members[w].index(var)
-
 
 def route_csp(
     base: BinaryCsp,
@@ -125,8 +125,13 @@ def route_csp(
     its variables, (2) host edges inside one branch set force the shared
     variable to agree, (3) host edges between two branch sets enforce the
     base constraint on the pair. Relations are finally projected onto the
-    restricted domains.
+    restricted domains. A host with more than DEFAULT_GRAPH_VERTEX_CAP
+    vertices raises CapExceeded before anything is built per vertex.
     """
+    if host.vertex_count > DEFAULT_GRAPH_VERTEX_CAP:
+        raise CapExceeded(
+            f"host has {host.vertex_count} vertices (cap {DEFAULT_GRAPH_VERTEX_CAP})"
+        )
     n_vars = base.variable_count
     for v in range(n_vars):
         bs = branch_sets.get(v)
@@ -281,26 +286,17 @@ def pipeline_budget(formula: CnfFormula) -> int:
     return max(2, math.isqrt(total - 1) + 1 if total > 0 else 2)
 
 
-def sat_to_dcmc(
-    formula: CnfFormula,
-    seed: int = 0,
-    *,
-    retries: int = DEFAULT_EMBED_RETRIES,
-    big_c: float = DEFAULT_BIG_C_HAT,
-    domain_cap: int = DEFAULT_ASSIGNMENT_CAP,
-    **embed_kwargs,
-) -> PipelineRun:
-    """Full chain with k = max(2, ceil(sqrt(N + M))).
+def sat_to_dcmc(formula: CnfFormula, seed: int = 0, cfg: RunConfig = RunConfig()) -> PipelineRun:
+    """Full chain with k = max(2, ceil(sqrt(N + M))), embedding under cfg
+    and routing under cfg.cap_csp_assignments.
 
     The report is a stable tuple of key=value pairs; identical inputs and
     seeds reproduce identical artifacts byte for byte.
     """
     base, incidence = sat_to_csp_g(formula)
     k = pipeline_budget(formula)
-    embedding, used_seed = embed_with_retry(
-        incidence, k, seed, retries=retries, big_c=big_c, **embed_kwargs
-    )
-    ctx = route_csp(base, embedding.branch_sets, embedding.host, domain_cap)
+    embedding, used_seed = embed_with_retry(incidence, k, seed, cfg)
+    ctx = route_csp(base, embedding.branch_sets, embedding.host, cfg.cap_csp_assignments)
     psi, codec = csp_to_psi(ctx)
     reduction = reduce_psi_to_dcmc(psi)
     report = (

@@ -20,12 +20,11 @@ from .embedding import (
     build_expander,
     embed,
     expander_flow,
-    min_sparsity_exhaustive,
     sample_path_family,
     validate_embedding,
 )
-from .gadgets import build_gadget, decode_dual_witness, reduce_psi_to_dcmc
-from .graphs import Graph, component_count, random_max_degree3_graph, random_simple_graph
+from .gadgets import decode_dual_witness, reduce_psi_to_dcmc
+from .graphs import component_count, random_max_degree3_graph
 from .instances import (
     CnfFormula,
     ColoredMultigraph,
@@ -47,17 +46,6 @@ class SuiteResult:
     ok: bool
     lines: list[str]
     metrics: dict
-
-
-def _embed_kwargs(cfg: RunConfig) -> dict:
-    return dict(
-        big_c=cfg.big_c_hat,
-        expander_seed=cfg.expander_seed,
-        target=cfg.expander_target,
-        exhaustive_cap=cfg.expander_exhaustive_cap,
-        expander_retries=cfg.expander_retries,
-        lp_tolerance=cfg.lp_tolerance,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -146,16 +134,15 @@ def random_cmc(rng: random.Random) -> ColoredMultigraph:
 # ---------------------------------------------------------------------------
 
 
-def verify_duality(cfg: RunConfig, trials: int | None = None, seed: int | None = None) -> SuiteResult:
-    """Random colored multigraphs: primal and dual oracles must agree, both
-    witnesses must check out, the round-trip must be the identity on
-    canonical forms, and yes answers must be monotone in the budget."""
-    trials = cfg.trials if trials is None else trials
-    seed = cfg.seed if seed is None else seed
-    rng = random.Random(seed)
+def verify_duality(cfg: RunConfig) -> SuiteResult:
+    """Random colored multigraphs (cfg.trials of them, seeded by cfg.seed):
+    primal and dual oracles must agree, both witnesses must check out, the
+    round-trip must be the identity on canonical forms, and yes answers must
+    be monotone in the budget."""
+    rng = random.Random(cfg.seed)
     violations = 0
     checked = 0
-    for _ in range(trials):
+    for _ in range(cfg.trials):
         g = random_cmc(rng)
         d = cmc_to_dual(g)
         primal = solve_cmc_bruteforce(g, cfg.cap_cmc_vertices)
@@ -308,7 +295,7 @@ def embedding_trial(cfg: RunConfig, trial_seed: int) -> dict:
     graph = random_max_degree3_graph(n, m, rng)
     k = math.isqrt(total - 1) + 1
     try:
-        emb = embed(graph, k, trial_seed, **_embed_kwargs(cfg))
+        emb = embed(graph, k, trial_seed, cfg)
     except EmbeddingFailed as exc:
         return {"failed": True, "depth": exc.depth, "bound": exc.bound, "valid": True}
     validate_embedding(emb, graph)
@@ -323,11 +310,11 @@ def embedding_trial(cfg: RunConfig, trial_seed: int) -> dict:
     }
 
 
-def verify_embedding(cfg: RunConfig, trials: int | None = None, seed: int | None = None) -> SuiteResult:
-    """Monte-Carlo depth bound (success fraction must be at least 0.5) plus
-    validity and audit checks on every produced embedding."""
-    trials = cfg.trials if trials is None else trials
-    seed = cfg.seed if seed is None else seed
+def verify_embedding(cfg: RunConfig) -> SuiteResult:
+    """Monte-Carlo depth bound over cfg.trials trials (success fraction must
+    be at least 0.5) plus validity and audit checks on every produced
+    embedding."""
+    trials, seed = cfg.trials, cfg.seed
     successes = 0
     invalid = 0
     for i in range(trials):
@@ -352,39 +339,21 @@ def flow_congestion_ratios(cfg: RunConfig, ells=(4, 8, 16, 32)) -> dict[int, flo
     """Computed congestion divided by ell * ln(ell) per host size."""
     ratios = {}
     for ell in ells:
-        _, flow = expander_flow(
-            ell,
-            cfg.expander_seed,
-            target=cfg.expander_target,
-            exhaustive_cap=cfg.expander_exhaustive_cap,
-            retries=cfg.expander_retries,
-            lp_tolerance=cfg.lp_tolerance,
-        )
+        _, flow = expander_flow(ell, cfg)
         ratios[ell] = flow.congestion / (ell * math.log(ell))
     return ratios
 
 
-def hit_overflow_fraction(
-    cfg: RunConfig, ell: int, trials: int = 200, seed: int | None = None, n: int | None = None
-) -> float:
-    """Fraction of trials in which some vertex collects more than
-    10 * c_hat * p * ln(ell) hits under the reference sampling process with
-    p = 3 * (1 + n/ell) paths per vertex."""
-    seed = cfg.seed if seed is None else seed
-    n = 3 * ell if n is None else n
-    p = round(3 * (1 + n / ell))
+def hit_overflow_fraction(cfg: RunConfig, ell: int, trials: int = 200) -> float:
+    """Fraction of trials (seeded by cfg.seed) in which some vertex collects
+    more than 10 * c_hat * p * ln(ell) hits under the reference sampling
+    process with p = 3 * (1 + n/ell) = 12 paths per vertex, taking n = 3 * ell."""
+    p = 12
     threshold = 10 * cfg.c_hat * p * math.log(ell)
-    _, flow = expander_flow(
-        ell,
-        cfg.expander_seed,
-        target=cfg.expander_target,
-        exhaustive_cap=cfg.expander_exhaustive_cap,
-        retries=cfg.expander_retries,
-        lp_tolerance=cfg.lp_tolerance,
-    )
+    _, flow = expander_flow(ell, cfg)
     bad = 0
     for i in range(trials):
-        rng = random.Random(seed * 100_003 + 7 * ell + i)
+        rng = random.Random(cfg.seed * 100_003 + 7 * ell + i)
         hits = sample_path_family(flow, p, rng)
         if max(hits) > threshold:
             bad += 1
@@ -393,16 +362,8 @@ def hit_overflow_fraction(
 
 def expander_certificates(cfg: RunConfig, max_ell: int = 16):
     """Exhaustively certified expanders for every ell up to max_ell."""
-    return {
-        ell: build_expander(
-            ell,
-            cfg.expander_seed,
-            target=cfg.expander_target,
-            exhaustive_cap=max(cfg.expander_exhaustive_cap, max_ell),
-            retries=cfg.expander_retries,
-        )
-        for ell in range(1, max_ell + 1)
-    }
+    exhaustive = replace(cfg, expander_exhaustive_cap=max(cfg.expander_exhaustive_cap, max_ell))
+    return {ell: build_expander(ell, exhaustive) for ell in range(1, max_ell + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +374,7 @@ def expander_certificates(cfg: RunConfig, max_ell: int = 16):
 def check_pipeline_formula(formula: CnfFormula, seed: int, cfg: RunConfig) -> dict:
     """Run the full chain and compare every stage's decision to the SAT
     oracle. Returns the run plus per-stage decisions."""
-    run = sat_to_dcmc(
-        formula,
-        seed,
-        retries=cfg.embed_retries,
-        domain_cap=cfg.cap_csp_assignments,
-        **_embed_kwargs(cfg),
-    )
+    run = sat_to_dcmc(formula, seed, cfg)
     sat = solve_sat_bruteforce(formula, cfg.cap_sat_variables).decision
     base = solve_csp_bruteforce(run.base_csp, cfg.cap_csp_assignments).decision
     routed = solve_csp_bruteforce(run.routed.csp, cfg.cap_csp_assignments).decision
@@ -433,11 +388,11 @@ def check_pipeline_formula(formula: CnfFormula, seed: int, cfg: RunConfig) -> di
     }
 
 
-def verify_pipeline(cfg: RunConfig, trials: int | None = None, seed: int | None = None) -> SuiteResult:
+def verify_pipeline(cfg: RunConfig) -> SuiteResult:
     """Stage-by-stage decision preservation: exhaustive over all formulas
-    with at most 2 variables and 2 clauses, plus random formulas."""
-    trials = cfg.trials if trials is None else trials
-    seed = cfg.seed if seed is None else seed
+    with at most 2 variables and 2 clauses, plus cfg.trials random formulas
+    (every run seeded by cfg.seed)."""
+    seed = cfg.seed
     failures = 0
     checked = 0
     for formula in enumerate_formulas(2, 2):
@@ -445,7 +400,7 @@ def verify_pipeline(cfg: RunConfig, trials: int | None = None, seed: int | None 
         if not check_pipeline_formula(formula, seed, cfg)["ok"]:
             failures += 1
     rng = random.Random(seed)
-    for _ in range(trials):
+    for _ in range(cfg.trials):
         formula = random_formula(rng)
         checked += 1
         if not check_pipeline_formula(formula, seed, cfg)["ok"]:
@@ -464,17 +419,15 @@ def verify_pipeline(cfg: RunConfig, trials: int | None = None, seed: int | None 
 # ---------------------------------------------------------------------------
 
 
-def calibrate(cfg: RunConfig, seed: int | None = None, trials: int | None = None) -> SuiteResult:
+def calibrate(cfg: RunConfig) -> SuiteResult:
     """Measure the constants the defaults pin down.
 
     c_hat: max LP congestion ratio over ell in {4, 8, 16, 32}. delta_hat:
     the worst exhaustive expansion certificate up to 16 vertices. big_c:
     the depth ratio distribution of the embedding trial family (the pinned
     default should sit above the median with margin, keeping the success
-    fraction comfortably over one half).
+    fraction comfortably over one half). Trials and seeds come from cfg.
     """
-    seed = cfg.seed if seed is None else seed
-    trials = cfg.trials if trials is None else trials
     lines: list[str] = []
     ratios = flow_congestion_ratios(cfg)
     for ell, ratio in sorted(ratios.items()):
@@ -492,8 +445,8 @@ def calibrate(cfg: RunConfig, seed: int | None = None, trials: int | None = None
 
     unbounded = replace(cfg, big_c_hat=1e18)
     depth_ratios: list[float] = []
-    for i in range(trials):
-        result = embedding_trial(unbounded, seed * 100_003 + i)
+    for i in range(cfg.trials):
+        result = embedding_trial(unbounded, cfg.seed * 100_003 + i)
         emb = result["embedding"]
         graph = result["graph"]
         total = graph.vertex_count + graph.edge_count
@@ -506,7 +459,7 @@ def calibrate(cfg: RunConfig, seed: int | None = None, trials: int | None = None
     lines.append(f"depth_ratio_max={depth_ratios[-1]:.4f}")
     lines.append(f"big_c_hat_default={cfg.big_c_hat}")
 
-    hit_fraction = hit_overflow_fraction(cfg, 8, trials=50, seed=seed)
+    hit_fraction = hit_overflow_fraction(cfg, 8, trials=50)
     lines.append(f"hit_fraction_ell8={hit_fraction:.3f}")
     ok = observed_c <= cfg.c_hat <= 10.0
     lines.append(f"calibration_ok={int(ok)}")

@@ -6,13 +6,24 @@ of product scans, DPLL instead of assignment enumeration, one LP commodity
 per vertex pair instead of per source, gadget edges placed digit by digit
 instead of shifted from per-block tables. Any disagreement points at a bug
 on one of the two sides.
+
+Also here: checks and generators only tests need (exact separation
+sparsity, gadget vertex decoding, uniform random simple graphs).
 """
 
 import itertools
 from collections import deque
+from dataclasses import dataclass
+from fractions import Fraction
 
 from scipy import sparse
 from scipy.optimize import linprog
+
+from colorcut.gadgets import HUB
+from colorcut.graphs import Graph
+from colorcut.instances import CapExceeded
+
+SPARSITY_VERTEX_CAP = 12
 
 
 def bfs_component_count(vertex_count, edges):
@@ -238,3 +249,76 @@ def naive_gadget_edges(alpha, v_x, v_y, params):
                 for i in range(1, b + 1):
                     edges.add(norm(center, vertex(params.digit((r + g[i - 1]) % rho, i))))
     return frozenset(edges)
+
+
+def min_sparsity_exhaustive(graph):
+    """Minimum sparsity |A cap B| / (|A| * |B|) over all separations (A, B)
+    of the vertex set, exactly.
+
+    Every separation (A, B) with interior X = A - B is dominated by the
+    separation (X + N(X), V - X), whose sparsity |N(X)| / ((|X| + |N(X)|)
+    * (n - |X|)) is never larger; separations with empty interior collapse
+    to the trivial (V, V) sparsity 1/n. Enumerating the 2^n - 2 interiors
+    plus the trivial case is therefore exhaustive.
+    """
+    n = graph.vertex_count
+    if n > SPARSITY_VERTEX_CAP:
+        raise CapExceeded(f"{n} vertices exceed the sparsity enumeration cap {SPARSITY_VERTEX_CAP}")
+    if n < 1:
+        raise ValueError("empty graph")
+    adj_mask = [0] * n
+    for u, v in graph.edges:
+        adj_mask[u] |= 1 << v
+        adj_mask[v] |= 1 << u
+    best = Fraction(1, n)
+    full = (1 << n) - 1
+    for interior in range(1, full):
+        neighborhood = 0
+        rest = interior
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            neighborhood |= adj_mask[v]
+            rest &= rest - 1
+        neighborhood &= ~interior
+        boundary = neighborhood.bit_count()
+        size_a = interior.bit_count() + boundary
+        size_b = n - interior.bit_count()
+        value = Fraction(boundary, size_a * size_b)
+        if value < best:
+            best = value
+    return best
+
+
+@dataclass(frozen=True)
+class WCoordinate:
+    """Decoded gadget vertex: block is None for the hub, else the pattern
+    vertex, with one (residue, tier) pair per pattern edge."""
+
+    block: int | None
+    coords: tuple[tuple[int, int], ...]
+
+
+def decode_vertex(params, w):
+    """Inverse of params.coord_vertex on digits params.digit(residue, tier)."""
+    if w == HUB:
+        return WCoordinate(None, ())
+    z, rest = divmod(w - 1, params.block_span)
+    coords = []
+    for _ in range(params.a):
+        rest, d = divmod(rest, params.base)
+        coords.append((d // (params.b + 1), d % (params.b + 1)))
+    return WCoordinate(z, tuple(coords))
+
+
+def random_simple_graph(n, m, rng):
+    """Uniformly draw m distinct edges on n vertices (rejection sampling)."""
+    if m > n * (n - 1) // 2:
+        raise ValueError("too many edges for a simple graph")
+    chosen = set()
+    while len(chosen) < m:
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u == v:
+            continue
+        chosen.add((u, v) if u < v else (v, u))
+    return Graph.make(n, chosen)

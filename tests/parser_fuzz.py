@@ -3,11 +3,10 @@
 Each example takes a valid seed file and applies one to three mutations:
 truncate a line, swap an integer for a huge, negative or non-integer token,
 drop a line, or duplicate one. The parser must return or raise FormatError,
-and the CLI must exit 2 on every file the parser rejects. The `solve`
-commands, whose work the oracle caps bound, also run on every file the
-parser accepts and must exit 0, 1 or 2. `embed` and `reduce route` do work
-in proportion to the host's vertex count, which no cap bounds yet, so they
-run only on rejected files.
+and the CLI must exit 2 on every file the parser rejects. The commands
+also run on every file the parser accepts and must exit 0, 1 or 2: the
+oracle caps bound the work of `solve`, and a vertex cap bounds that of
+`embed` and `reduce route`.
 
 Run as a script, `PYTHONPATH=src python tests/parser_fuzz.py [max_examples]`,
 under a memory limit, so that an allocation sized by a header count fails
@@ -30,46 +29,39 @@ from colorcut import cli, formats
 
 CSP = "csp 2\ndom 0 a b\ndom 1 a b\ncon 0 1 a|b b|a\n"
 
-# format: (parser, seed text, CLI arguments with FILE for the mutated file,
-# whether the CLI also runs on files the parser accepts)
+# format: (parser, seed text, CLI arguments with FILE for the mutated file)
 SEEDS = {
     "cmc": (
         formats.parse_cmc,
         "cmc 3 3 2 1\ne 0 1 1\ne 1 2 2\ne 0 2 2\n",
         ["solve", "cmc", "FILE"],
-        True,
     ),
     "dcmc": (
         formats.parse_dcmc,
         "dcmc 3 2 1\ng 1\ne 0 1\ng 2\ne 1 2\ne 0 2\n",
         ["solve", "dcmc", "FILE"],
-        True,
     ),
     "psi": (
         formats.parse_psi,
         "psi 2 2\npe 0 1\nblock 0 0 1\nblock 1 2 3\nhe 0 2\nhe 1 3\n",
         ["solve", "psi", "FILE"],
-        True,
     ),
-    "cnf": (formats.parse_cnf, "p cnf 3 2\n1 -2 3 0\n2 0\n", ["solve", "cnf", "FILE"], True),
-    "csp": (formats.parse_csp, CSP, ["solve", "csp", "FILE"], True),
+    "cnf": (formats.parse_cnf, "p cnf 3 2\n1 -2 3 0\n2 0\n", ["solve", "cnf", "FILE"]),
+    "csp": (formats.parse_csp, CSP, ["solve", "csp", "FILE"]),
     "graph": (
         formats.parse_graph,
         "graph 4 3\ne 0 1\ne 1 2\ne 2 3\n",
         ["embed", "FILE", "-k", "8", "-o", "OUT"],
-        False,
     ),
     "embedding": (
         formats.parse_embedding,
         "embed 2 1 2 2\nhost 0 1\nbranch 0 0\nbranch 1 1\nzeta 0 0\nzeta 1 1\n",
         ["reduce", "route", "CSP", "--embed", "FILE", "-o", "OUT"],
-        False,
     ),
     "gadgetmap": (
         formats.parse_gadget_map,
         "gadgetmap 2\ncolor 1 1 0 2\ncolor 2 1 1 3\n",
         None,
-        False,
     ),
 }
 
@@ -110,13 +102,13 @@ def mutated_files(draw):
 
 
 def check(name: str, text: str, workdir: Path) -> None:
-    parser, _, argv, run_accepted = SEEDS[name]
+    parser, _, argv = SEEDS[name]
     try:
         parser(text)
         rejected = False
     except formats.FormatError:
         rejected = True
-    if argv is None or not (rejected or run_accepted):
+    if argv is None:
         return
     path = workdir / name
     path.write_text(text)

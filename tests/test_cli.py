@@ -3,17 +3,18 @@ import os
 import resource
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from colorcut import cli
+from colorcut.config import ENV_CONFIG_PATH, RunConfig
 from colorcut.formats import (
     parse_csp,
     parse_dcmc,
     parse_embedding,
     parse_graph,
-    parse_psi,
 )
 from colorcut.graphs import random_max_degree3_graph
 from colorcut.formats import write_graph
@@ -144,21 +145,30 @@ def run_limited(argv, cwd):
     )
 
 
+HUGE_EMBEDDING = "embed 99999999999 1 2 2\nhost 0 1\nbranch 0 0\nbranch 1 1\nzeta 0 0\nzeta 1 1\n"
+
+
 @pytest.mark.parametrize(
-    "fmt,text,code,witness",
+    "argv,text,code,witness",
     [
-        ("cmc", "cmc 3 2 99999999999 1\ne 0 1 1\ne 1 2 1\n", 2, None),
-        ("psi", "psi 99999999999 1\nblock 0 0\n", 2, None),
-        ("csp", "csp 99999999999\ndom 0 a\n", 2, None),
-        ("dcmc", "dcmc 99999999999 1 1\ng 1\ne 0 1\n", 0, "1"),
-        ("dcmc", "dcmc 3 1 99999999999\ng 1\ne 0 1\n", 1, None),
+        (("solve", "cmc"), "cmc 3 2 99999999999 1\ne 0 1 1\ne 1 2 1\n", 2, None),
+        (("solve", "psi"), "psi 99999999999 1\nblock 0 0\n", 2, None),
+        (("solve", "csp"), "csp 99999999999\ndom 0 a\n", 2, None),
+        (("solve", "dcmc"), "dcmc 99999999999 1 1\ng 1\ne 0 1\n", 0, "1"),
+        (("solve", "dcmc"), "dcmc 3 1 99999999999\ng 1\ne 0 1\n", 1, None),
+        (("embed", "-k", "8", "-o", "{out}"), "graph 99999999999 3\ne 0 1\ne 1 2\ne 2 3\n", 2, None),
+        (("reduce", "route", "{csp}", "-o", "{out}", "--embed"), HUGE_EMBEDDING, 2, None),
+        (("reduce", "csp2psi", "{csp}", "-o", "{out}", "--embed"), HUGE_EMBEDDING, 2, None),
     ],
-    ids=["cmc", "psi", "csp", "dcmc", "dcmc-budget"],
+    ids=["cmc", "psi", "csp", "dcmc", "dcmc-budget", "embed", "route", "csp2psi"],
 )
-def test_huge_header_counts(tmp_path, fmt, text, code, witness):
-    path = tmp_path / f"huge.{fmt}"
+def test_huge_header_counts(tmp_path, argv, text, code, witness):
+    path = tmp_path / "huge"
     path.write_text(text)
-    proc = run_limited(["-m", "colorcut", "solve", fmt, str(path)], tmp_path)
+    (tmp_path / "base.csp").write_text("csp 2\ndom 0 a\ndom 1 a\n")
+    paths = {"csp": str(tmp_path / "base.csp"), "out": str(tmp_path / "out")}
+    args = [arg.format(**paths) for arg in argv]
+    proc = run_limited(["-m", "colorcut", *args, str(path)], tmp_path)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     if witness is not None:
@@ -334,3 +344,38 @@ def test_config_file_and_override(capsys, files, tmp_path):
         capsys, "reduce", "sat2dcmc", cnf, "-o", out, "--config", conf, "--seed", "6"
     )
     assert report(text)["seed"] == "6"
+
+
+# one valid non-default value per RunConfig field; float fields get
+# non-integral values, so a float default written as an int fails to parse
+FLAG_VALUES = {
+    "seed": 7,
+    "trials": 3,
+    "cap_cmc_vertices": 20,
+    "cap_dual_combinations": 999,
+    "cap_psi_assignments": 998,
+    "cap_csp_assignments": 997,
+    "cap_sat_variables": 12,
+    "expander_exhaustive_cap": 8,
+    "expander_target": 0.25,
+    "expander_seed": 3,
+    "expander_retries": 5,
+    "lp_tolerance": 2.5e-5,
+    "embed_retries": 4,
+    "c_hat": 2.5,
+    "big_c_hat": 4.5,
+}
+
+
+def test_flag_values_cover_every_field():
+    assert list(FLAG_VALUES) == [f.name for f in fields(RunConfig)]
+
+
+@pytest.mark.parametrize("name", list(FLAG_VALUES))
+def test_config_flag_reaches_config(monkeypatch, name):
+    monkeypatch.delenv(ENV_CONFIG_PATH, raising=False)
+    value = FLAG_VALUES[name]
+    assert value != getattr(RunConfig(), name)
+    flag = "--" + name.replace("_", "-")
+    args = cli.build_parser().parse_args(["verify", "duality", flag, str(value)])
+    assert cli._resolve_config(args) == replace(RunConfig(), **{name: value})

@@ -1,34 +1,37 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import oracles
+from colorcut.config import RunConfig
 from colorcut.embedding import (
     DEFAULT_BIG_C_HAT,
     Embedding,
     EmbeddingFailed,
     ExpansionTargetUnmet,
     InvalidK,
-    NotASeparation,
     audit_congestion,
     build_expander,
     clear_flow_cache,
-    contracted_minor,
     depth_bound,
     edge_expansion_exhaustive,
     embed,
     embed_with_retry,
     expander_flow,
-    min_sparsity_exhaustive,
     reduce_degrees,
     sample_path_family,
     spectral_expansion_bound,
     validate_embedding,
-    verify_sparsity,
 )
-from colorcut.graphs import Graph, random_max_degree3_graph, random_simple_graph
+from colorcut.graphs import Graph, random_max_degree3_graph
 from colorcut.instances import CapExceeded
+
+CFG = RunConfig()
+# no host on 8 vertices certifies expansion 1 within one resample
+UNREACHABLE = RunConfig(expander_target=1.0, expander_exhaustive_cap=4, expander_retries=1)
 
 K2 = Graph.make(2, [(0, 1)])
 P3 = Graph.make(3, [(0, 1), (1, 2)])
@@ -54,7 +57,7 @@ def test_spectral_bound_below_exact():
     for _ in range(25):
         n = rng.randint(2, 9)
         m = rng.randint(0, n * (n - 1) // 2)
-        g = random_simple_graph(n, m, rng)
+        g = oracles.random_simple_graph(n, m, rng)
         assert spectral_expansion_bound(g) <= float(edge_expansion_exhaustive(g)) + 1e-9
 
 
@@ -87,45 +90,24 @@ def test_build_expander_spectral_regime():
 
 
 def test_build_expander_deterministic():
-    a = build_expander(12, seed=5)
-    b = build_expander(12, seed=5)
+    a = build_expander(12, replace(CFG, expander_seed=5))
+    b = build_expander(12, replace(CFG, expander_seed=5))
     assert a.graph == b.graph and a.delta_hat == b.delta_hat
 
 
 def test_build_expander_unreachable_target():
     with pytest.raises(ExpansionTargetUnmet):
-        build_expander(6, target=5.0)
-
-
-def test_verify_sparsity():
-    n = P3.vertex_count
-    full = range(n)
-    assert verify_sparsity(P3, full, full) == Fraction(1, 3)
-    assert verify_sparsity(P3, {0, 1}, {1, 2}) == Fraction(1, 4)
-    with pytest.raises(NotASeparation):
-        verify_sparsity(P3, {0}, {1})  # does not cover
-    with pytest.raises(NotASeparation):
-        verify_sparsity(P3, {0, 1, 2}, set())  # empty side
-    with pytest.raises(NotASeparation):
-        verify_sparsity(P3, {0, 1}, {2})  # edge (1, 2) crosses
+        build_expander(8, UNREACHABLE)
 
 
 def test_min_sparsity_frozen():
-    assert min_sparsity_exhaustive(K2) == Fraction(1, 2)
-    assert min_sparsity_exhaustive(P3) == Fraction(1, 4)
-    assert min_sparsity_exhaustive(TRIANGLE) == Fraction(1, 3)
-    assert min_sparsity_exhaustive(C4) == Fraction(2, 9)
-    assert min_sparsity_exhaustive(P4) == Fraction(1, 6)
+    assert oracles.min_sparsity_exhaustive(K2) == Fraction(1, 2)
+    assert oracles.min_sparsity_exhaustive(P3) == Fraction(1, 4)
+    assert oracles.min_sparsity_exhaustive(TRIANGLE) == Fraction(1, 3)
+    assert oracles.min_sparsity_exhaustive(C4) == Fraction(2, 9)
+    assert oracles.min_sparsity_exhaustive(P4) == Fraction(1, 6)
     with pytest.raises(CapExceeded):
-        min_sparsity_exhaustive(Graph.make(13, []))
-
-
-def test_min_sparsity_never_beats_verified_separations():
-    rng = random.Random(3)
-    for _ in range(10):
-        g = random_simple_graph(6, rng.randint(3, 10), rng)
-        best = min_sparsity_exhaustive(g)
-        assert best <= verify_sparsity(g, range(6), range(6))
+        oracles.min_sparsity_exhaustive(Graph.make(13, []))
 
 
 def test_reduce_degrees_identity_when_cubic():
@@ -142,12 +124,6 @@ def test_reduce_degrees_star():
     assert reduced.vertex_count == 10
     assert reduced.edge_count == 10  # 5 original + 5 cycle edges
     assert reduced.max_degree() <= 3
-    assert contracted_minor(reduced, groups) == star
-
-
-def test_contracted_minor_identity_for_singletons():
-    reduced, groups = reduce_degrees(C5)
-    assert contracted_minor(reduced, groups) == C5
 
 
 def test_depth_bound_formula():
@@ -230,7 +206,7 @@ def test_embed_failure_carries_seed_and_bound():
     rng = random.Random(12)
     graph = random_max_degree3_graph(60, 80, rng)
     with pytest.raises(EmbeddingFailed) as info:
-        embed(graph, 40, seed=7, big_c=0.01)
+        embed(graph, 40, seed=7, cfg=replace(CFG, big_c_hat=0.01))
     assert info.value.seed == 7
     assert info.value.depth > info.value.bound
     assert info.value.bound == pytest.approx(depth_bound(40, 60, 80, 0.01))
@@ -243,7 +219,7 @@ def test_embed_with_retry_reports_used_seed():
     assert used == 6
     validate_embedding(emb, graph)
     with pytest.raises(EmbeddingFailed) as info:
-        embed_with_retry(graph, 40, seed=6, retries=3, big_c=0.01)
+        embed_with_retry(graph, 40, seed=6, cfg=replace(CFG, embed_retries=3, big_c_hat=0.01))
     assert info.value.seed == 8  # last attempted seed
 
 
@@ -312,24 +288,39 @@ def test_validate_embedding_catches_corruption():
 
 def test_expander_flow_cache():
     clear_flow_cache()
-    first = expander_flow(8, 0)
-    again = expander_flow(8, 0)
+    first = expander_flow(8)
+    again = expander_flow(8)
     assert first[0] is again[0] and first[1] is again[1]
     clear_flow_cache()
-    fresh = expander_flow(8, 0)
+    fresh = expander_flow(8)
     assert fresh[0] is not first[0]
     assert fresh[0].graph == first[0].graph  # same seed, same host
 
 
 def test_expander_flow_cache_keys_every_argument():
     clear_flow_cache()
-    expander_flow(8, 0)
+    expander_flow(8)
     with pytest.raises(ExpansionTargetUnmet):
-        expander_flow(8, 0, target=2.0)
+        expander_flow(8, UNREACHABLE)
+
+
+def test_expander_flow_cache_key_is_the_host_fields():
+    clear_flow_cache()
+    first = expander_flow(8)
+    unrelated = replace(CFG, big_c_hat=1e18, c_hat=3.0, seed=5, trials=7, embed_retries=2)
+    assert expander_flow(8, unrelated) is first
+    for change in (
+        {"expander_seed": 1},
+        {"expander_target": 0.2},
+        {"expander_exhaustive_cap": 4},
+        {"expander_retries": 63},
+        {"lp_tolerance": 1e-5},
+    ):
+        assert expander_flow(8, replace(CFG, **change)) is not first, change
 
 
 def test_sample_path_family_counts():
-    _, flow = expander_flow(8, 0)
+    _, flow = expander_flow(8)
     rng = random.Random(21)
     hits = sample_path_family(flow, 5, rng)
     assert len(hits) == 8

@@ -115,13 +115,13 @@ def test_decode_inverts_coord_vertex():
     for z in range(p.h):
         for r1, t1, r2, t2 in itertools.product(range(3), range(5), range(3), range(5)):
             w = p.coord_vertex(z, (p.digit(r1, t1), p.digit(r2, t2)))
-            got = p.decode_vertex(w)
+            got = oracles.decode_vertex(p, w)
             assert got.block == z
             assert got.coords == ((r1, t1), (r2, t2))
             seen.add(w)
     assert len(seen) == p.vertex_count - 1
     assert min(seen) == 1 and max(seen) == p.vertex_count - 1
-    assert p.decode_vertex(HUB).block is None
+    assert oracles.decode_vertex(p, HUB).block is None
 
 
 def test_hat_block_and_hat_vertex():
@@ -131,7 +131,7 @@ def test_hat_block_and_hat_vertex():
     assert len(hats) == 3  # rho^a
     assert hats == sorted(hats)
     for w in hats:
-        coord = p.decode_vertex(w)
+        coord = oracles.decode_vertex(p, w)
         assert coord.block == 1
         assert all(t == 0 for _, t in coord.coords)
     assert p.hat_vertex(1, 2) in hats
@@ -159,11 +159,11 @@ def test_padding_count_and_shape():
     hub_edges = [e for e in edges if HUB in e]
     assert len(hub_edges) == 1
     anchor = hub_edges[0][1]
-    assert p.decode_vertex(anchor).coords == ((0, 0),)
+    assert oracles.decode_vertex(p, anchor).coords == ((0, 0),)
     for u, v in edges:
         if HUB in (u, v):
             continue
-        cu, cv = p.decode_vertex(u), p.decode_vertex(v)
+        cu, cv = oracles.decode_vertex(p, u), oracles.decode_vertex(p, v)
         center, leaf = (cu, cv) if cu.coords[0][1] == 0 else (cv, cu)
         r, _ = center.coords[0]
         lr, lt = leaf.coords[0]

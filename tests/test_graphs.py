@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import random_simple_graph
 from colorcut.graphs import (
     Graph,
     UnionFind,
@@ -9,7 +10,6 @@ from colorcut.graphs import (
     connected_in_subset,
     is_connected,
     random_max_degree3_graph,
-    random_simple_graph,
 )
 
 

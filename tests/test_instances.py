@@ -1,4 +1,3 @@
-import itertools
 import random
 from dataclasses import replace
 
@@ -16,7 +15,6 @@ from colorcut.instances import (
     PsiInstance,
     cmc_to_dual,
     dual_to_cmc,
-    min_cut_color_count,
     psi_selection_ok,
     solve_cmc_bruteforce,
     solve_csp_bruteforce,
@@ -71,14 +69,11 @@ def test_cmc_known_instance():
     g = ColoredMultigraph(2, ((0, 1, 1), (0, 1, 2)), 2, 1)
     assert solve_cmc_bruteforce(g) == Answer(False, None)
     assert solve_cmc_bruteforce(replace(g, k=2)).decision
-    assert min_cut_color_count(g) == 2
 
 
 def test_cmc_single_vertex_has_no_cut():
     g = ColoredMultigraph(1, (), 1, 1)
     assert not solve_cmc_bruteforce(g).decision
-    with pytest.raises(ValueError):
-        min_cut_color_count(g)
 
 
 def test_cmc_cap():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -89,7 +90,7 @@ def test_random_cmc_covers_palette():
 
 
 def test_verify_duality_smoke():
-    result = verify_duality(CFG, trials=15, seed=3)
+    result = verify_duality(replace(CFG, trials=15, seed=3))
     assert result.ok
     assert result.metrics["violations"] == 0
     assert any(line == "duality_ok=1" for line in result.lines)
@@ -119,7 +120,7 @@ def test_check_gadget_instance_sample_of_family():
 
 
 def test_verify_embedding_smoke():
-    result = verify_embedding(CFG, trials=10, seed=1)
+    result = verify_embedding(replace(CFG, trials=10, seed=1))
     assert result.ok
     assert result.metrics["invalid"] == 0
     assert result.metrics["fraction"] >= 0.5
@@ -133,14 +134,14 @@ def test_flow_congestion_ratios_small():
 
 
 def test_hit_overflow_fraction_small():
-    fraction = hit_overflow_fraction(CFG, 4, trials=20, seed=0)
+    fraction = hit_overflow_fraction(CFG, 4, trials=20)
     assert 0.0 <= fraction <= 0.1
 
 
 def test_hit_overflow_fraction_uses_configured_host():
     cfg = RunConfig(expander_target=1.0, expander_exhaustive_cap=4, expander_retries=1)
     with pytest.raises(ExpansionTargetUnmet):
-        hit_overflow_fraction(cfg, 8, trials=1, seed=0)
+        hit_overflow_fraction(cfg, 8, trials=1)
 
 
 def test_expander_certificates_range():
@@ -164,7 +165,7 @@ def test_check_pipeline_formula_both_ways():
 
 
 def test_verify_pipeline_smoke():
-    result = verify_pipeline(CFG, trials=5, seed=2)
+    result = verify_pipeline(replace(CFG, trials=5, seed=2))
     assert result.ok
     assert result.metrics["failures"] == 0
     # 3 one-variable and 36 two-variable exhaustive formulas plus the randoms
@@ -172,7 +173,7 @@ def test_verify_pipeline_smoke():
 
 
 def test_calibrate_smoke():
-    result = calibrate(CFG, seed=0, trials=5)
+    result = calibrate(replace(CFG, seed=0, trials=5))
     assert result.ok
     assert result.metrics["c_hat_observed"] <= CFG.c_hat
     assert len(result.metrics["depth_ratios"]) == 5
