@@ -1,4 +1,4 @@
-"""Run configuration: enumeration caps, LP tolerance, calibrated constants.
+"""Run configuration: enumeration caps, expander settings, calibrated constants.
 
 Values resolve in order: built-in defaults, then a JSON config file (path
 from the COLORCUT_CONFIG environment variable or the --config flag), then
@@ -11,7 +11,7 @@ import json
 import os
 from dataclasses import dataclass, fields, replace
 
-from . import flows, instances
+from . import instances
 
 ENV_CONFIG_PATH = "COLORCUT_CONFIG"
 
@@ -42,7 +42,6 @@ class RunConfig:
     expander_target: float = DEFAULT_EXPANSION_TARGET
     expander_seed: int = DEFAULT_EXPANDER_SEED
     expander_retries: int = DEFAULT_EXPANDER_RETRIES
-    lp_tolerance: float = flows.DEFAULT_LP_TOLERANCE
     embed_retries: int = DEFAULT_EMBED_RETRIES
     c_hat: float = DEFAULT_C_HAT
     big_c_hat: float = DEFAULT_BIG_C_HAT
@@ -61,8 +60,6 @@ class RunConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if not 0 < self.lp_tolerance <= 0.1:
-            raise ValueError("lp_tolerance must be in (0, 0.1]")
         if not 0 < self.expander_target <= 1:
             raise ValueError("expander_target must be in (0, 1]")
         if self.c_hat <= 0 or self.big_c_hat <= 0:

@@ -294,11 +294,10 @@ def expander_flow(
         cfg.expander_target,
         cfg.expander_exhaustive_cap,
         cfg.expander_retries,
-        cfg.lp_tolerance,
     )
     if key not in _FLOW_CACHE:
         cert = build_expander(ell, cfg)
-        flow = min_congestion_flow(cert.graph, cfg.lp_tolerance)
+        flow = min_congestion_flow(cert.graph)
         _FLOW_CACHE[key] = (cert, flow)
     return _FLOW_CACHE[key]
 

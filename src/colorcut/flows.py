@@ -22,8 +22,10 @@ from scipy.optimize import linprog
 
 from .graphs import Graph
 
-DEFAULT_LP_TOLERANCE = 1e-6
 _EPS = 1e-12
+# how far a decomposed pair's path weights may sum from 1 before the LP
+# optimum counts as unusable
+_DECOMPOSITION_SLACK = 2e-6
 
 
 class Infeasible(Exception):
@@ -198,12 +200,13 @@ def _solve_lp(ell: int, arcs) -> np.ndarray:
     return np.maximum(result.x, 0.0)
 
 
-def min_congestion_flow(graph: Graph, lp_tolerance: float = DEFAULT_LP_TOLERANCE) -> ConcurrentFlow:
+def min_congestion_flow(graph: Graph) -> ConcurrentFlow:
     """Solve the concurrent-flow LP and decompose the optimum into paths.
 
     Raises Infeasible on disconnected hosts. The returned per-pair weights
-    sum to 1, paths[(v, u)] is the reverse of paths[(u, v)], and the
-    recomputed congestion stays within the LP tolerance of the LP objective.
+    sum to 1 (before normalizing, each pair's decomposed weights sum to
+    within _DECOMPOSITION_SLACK of 1), and paths[(v, u)] is the reverse of
+    paths[(u, v)].
     """
     ell = graph.vertex_count
     if ell < 1:
@@ -230,7 +233,7 @@ def min_congestion_flow(graph: Graph, lp_tolerance: float = DEFAULT_LP_TOLERANCE
             if t == s:
                 continue
             total = sum(w for _, w in plist)
-            if abs(total - 1.0) > 1e-6 + lp_tolerance:
+            if abs(total - 1.0) > _DECOMPOSITION_SLACK:
                 raise Infeasible(f"pair ({s}, {t}) decomposed to value {total}, expected 1")
             by_sink[t] = [(p, w / total) for p, w in plist]
         directed.append(by_sink)
@@ -255,4 +258,4 @@ def min_congestion_flow(graph: Graph, lp_tolerance: float = DEFAULT_LP_TOLERANCE
     return flow_obj
 
 
-__all__ = ["ConcurrentFlow", "Infeasible", "min_congestion_flow", "DEFAULT_LP_TOLERANCE"]
+__all__ = ["ConcurrentFlow", "Infeasible", "min_congestion_flow"]

@@ -7,6 +7,10 @@ format is DIMACS (with 'c' comment lines and a '%' end marker tolerated).
 
 from __future__ import annotations
 
+import warnings
+
+import numpy as np
+
 from .graphs import Graph
 from .instances import (
     BinaryCsp,
@@ -14,6 +18,7 @@ from .instances import (
     ColoredMultigraph,
     DualCmcInstance,
     PsiInstance,
+    rows_increase,
 )
 
 
@@ -89,7 +94,58 @@ def write_cmc(g: ColoredMultigraph) -> str:
 
 def parse_dcmc(text: str) -> DualCmcInstance:
     """`dcmc <n> <p> <a>` header, then blocks `g <i>` (i ascending from 1,
-    each exactly once, empty blocks allowed) holding `e <u> <v>` lines."""
+    each exactly once, empty blocks allowed) holding `e <u> <v>` lines.
+
+    Text laid out exactly as write_dcmc emits it is read block by block with
+    numpy; any other text, and every malformed one, goes through the line
+    parser, which is the only source of error messages."""
+    dual = _parse_dcmc_canonical(text)
+    return dual if dual is not None else _parse_dcmc_lines(text)
+
+
+def _parse_dcmc_canonical(text: str) -> DualCmcInstance | None:
+    """The instance when text is byte for byte what write_dcmc would emit
+    for it, else None. Each block is parsed with numpy, then re-serialized
+    and compared with its text; the edges must be sorted, duplicate-free
+    and have u < v, which the comparison alone would not ensure."""
+    if not text.endswith("\n"):
+        return None
+    chunks = text[:-1].split("\ng ")
+    head = chunks[0].split(" ")
+    if len(head) != 4 or head[0] != "dcmc":
+        return None
+    try:
+        n, p, a = (int(f) for f in head[1:])
+    except ValueError:
+        return None
+    if chunks[0] != f"dcmc {n} {p} {a}" or len(chunks) != p + 1:
+        return None
+    graphs = []
+    with warnings.catch_warnings():
+        # numpy warns, or raises, when a token is not an integer
+        warnings.simplefilter("error", DeprecationWarning)
+        for i, chunk in enumerate(chunks[1:], 1):
+            _, _, body = chunk.partition("\n")
+            try:
+                flat = np.fromstring(body.replace("e", " "), dtype=np.int64, sep=" ")
+            except (ValueError, DeprecationWarning):
+                return None
+            if flat.size % 2 or chunk != f"{i}" + ("\ne %d %d" * (flat.size // 2)) % tuple(
+                flat.tolist()
+            ):
+                return None
+            edges = flat.reshape(-1, 2)
+            if not (np.all(edges[:, 0] < edges[:, 1]) and rows_increase(edges)):
+                return None
+            graphs.append(edges)
+    try:
+        return DualCmcInstance(n, tuple(graphs), a)
+    except ValueError:
+        return None
+
+
+def _parse_dcmc_lines(text: str) -> DualCmcInstance:
+    """parse_dcmc for any layout: one pass over the lines."""
     header = None
     graphs: list[set[tuple[int, int]]] = []
     current = None
@@ -128,17 +184,17 @@ def parse_dcmc(text: str) -> DualCmcInstance:
     if len(graphs) != p:
         raise FormatError(f"header promises {p} color graphs, found {len(graphs)}")
     try:
-        return DualCmcInstance(n, tuple(frozenset(s) for s in graphs), a)
+        return DualCmcInstance(n, tuple(graphs), a)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
 
 def write_dcmc(d: DualCmcInstance) -> str:
-    lines = [f"dcmc {d.vertex_count} {d.p} {d.a}"]
+    parts = [f"dcmc {d.vertex_count} {d.p} {d.a}\n"]
     for i, es in enumerate(d.color_graphs, 1):
-        lines.append(f"g {i}")
-        lines.extend(["e %d %d" % e for e in sorted(es)])
-    return "\n".join(lines) + "\n"
+        parts.append(f"g {i}\n")
+        parts.append(("e %d %d\n" * len(es)) % tuple(es.ravel().tolist()))
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

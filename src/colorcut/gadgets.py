@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .graphs import is_connected
 from .instances import DualCmcInstance, PsiInstance
 
@@ -141,15 +143,19 @@ class GadgetParams:
         return self.coord_vertex(x, [self.digit(r, 0) for r in vec])
 
     @cached_property
-    def hat_blocks(self) -> tuple[tuple[int, ...], ...]:
-        """All-tier-zero vertices of each block (rho^a per block), ascending."""
-        offsets = [0]
+    def block_starts(self) -> np.ndarray:
+        """First vertex of each block, 1 + x * block_span."""
+        return 1 + np.arange(self.h, dtype=np.int64) * self.block_span
+
+    @cached_property
+    def hat_blocks(self) -> np.ndarray:
+        """All-tier-zero vertices of each block: row x holds block x's rho^a
+        vertices, ascending."""
+        offsets = np.zeros(1, dtype=np.int64)
         for i in range(self.a):
             weight = (self.b + 1) * self.base**i
-            offsets = [off + r * weight for r in range(self.rho) for off in offsets]
-        return tuple(
-            tuple(1 + x * self.block_span + off for off in offsets) for x in range(self.h)
-        )
+            offsets = (np.arange(self.rho, dtype=np.int64)[:, None] * weight + offsets).ravel()
+        return self.block_starts[:, None] + offsets
 
     def g_vector(self, alpha: int, v_x: int, v_y: int) -> tuple[int, ...]:
         """Combined field vector (length b) of a selected host edge."""
@@ -157,74 +163,77 @@ class GadgetParams:
         return self.f_maps[x][v_x] + self.f_maps[y][v_y]
 
 
-def _norm(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
-def build_a_edges(alpha: int, v_x: int, v_y: int, params: GadgetParams) -> set[tuple[int, int]]:
+def build_a_edges(alpha: int, v_x: int, v_y: int, params: GadgetParams) -> np.ndarray:
     """Selection edge between the two encoded endpoints plus hub edges to
-    every other all-tier-zero vertex of the two touched blocks."""
+    every other all-tier-zero vertex of the two touched blocks, as (m, 2)
+    rows with u < v."""
     x, y = params.edge_order[alpha - 1]
     ex = params.hat_vertex(x, v_x)
     ey = params.hat_vertex(y, v_y)
-    edges = {_norm(ex, ey)}
-    for z in (x, y):
-        edges.update((HUB, w) for w in params.hat_blocks[z] if w != ex and w != ey)
+    hats = params.hat_blocks[[x, y]].ravel()
+    hats = hats[(hats != ex) & (hats != ey)]
+    edges = np.empty((len(hats) + 1, 2), dtype=np.int64)
+    edges[0] = min(ex, ey), max(ex, ey)
+    edges[1:, 0] = HUB
+    edges[1:, 1] = hats
     return edges
 
 
-def _free_offsets(params: GadgetParams, alpha: int):
+def _free_offsets(params: GadgetParams, alpha: int) -> np.ndarray:
     """Encoded offsets of every setting of the coordinates other than alpha."""
-    weights = [params.base**i for i in range(params.a) if i != alpha - 1]
-    offsets = [0]
-    for wt in weights:
-        offsets = [off + d * wt for off in offsets for d in range(params.base)]
+    offsets = np.zeros(1, dtype=np.int64)
+    digits = np.arange(params.base, dtype=np.int64)
+    for i in range(params.a):
+        if i != alpha - 1:
+            offsets = (offsets[:, None] + digits * params.base**i).ravel()
     return offsets
 
 
-def build_padding(
-    alpha: int, v_x: int, v_y: int, z: int, params: GadgetParams
-) -> set[tuple[int, int]]:
-    """Arithmetic padding inside block z for one selected host edge.
+def build_padding(alpha: int, v_x: int, v_y: int, params: GadgetParams) -> np.ndarray:
+    """Arithmetic padding in every block for one selected host edge, as
+    (m, 2) rows with u < v.
 
-    For every setting of the non-alpha coordinates: a hub edge at the
-    alpha-digit (0, 0), and for each residue r a star from center (r, 0) to
-    ((r + g_i) mod rho, i) for every position i of the combined vector. The
-    stars are built once as offsets from the anchor, then shifted to each
-    anchor.
+    For every setting of the non-alpha coordinates (an anchor): a hub edge
+    at the alpha-digit (0, 0), and for each residue r a star from center
+    (r, 0) to ((r + g_i) mod rho, i) for every position i of the combined
+    vector. The star is built once as offsets from the anchor, then
+    broadcast over the h * base^(a-1) anchors.
     """
-    g = params.g_vector(alpha, v_x, v_y)
+    g = np.array(params.g_vector(alpha, v_x, v_y), dtype=np.int64)
     tier_weight = params.base ** (alpha - 1)
     residue_weight = (params.b + 1) * tier_weight
-    rho = params.rho
-    tiers = [(gi, i * tier_weight) for i, gi in enumerate(g, 1)]
-    star = []
-    for r in range(rho):
-        center = r * residue_weight
-        for gi, tier in tiers:
-            leaf = (r + gi) % rho * residue_weight + tier
-            star.append((center, leaf) if center < leaf else (leaf, center))
-    block_base = 1 + z * params.block_span
-    edges = set()
-    for rest in _free_offsets(params, alpha):
-        anchor = block_base + rest
-        edges.add((HUB, anchor))
-        edges.update([(anchor + c, anchor + leaf) for c, leaf in star])
+    r = np.arange(params.rho, dtype=np.int64)[:, None]
+    center = r * residue_weight
+    leaf = (r + g) % params.rho * residue_weight + np.arange(1, len(g) + 1) * tier_weight
+    lo = np.minimum(center, leaf).ravel()
+    hi = np.maximum(center, leaf).ravel()
+    anchors = (params.block_starts[:, None] + _free_offsets(params, alpha)).ravel()
+    k = len(anchors)
+    edges = np.empty((k * (1 + len(lo)), 2), dtype=np.int64)
+    edges[:k, 0] = HUB
+    edges[:k, 1] = anchors
+    edges[k:, 0] = (anchors[:, None] + lo).ravel()
+    edges[k:, 1] = (anchors[:, None] + hi).ravel()
     return edges
 
 
-@dataclass(frozen=True)
-class Gadget:
-    alpha: int
-    host_edge: tuple[int, int]
-    edges: frozenset[tuple[int, int]]
-
-
-def build_gadget(alpha: int, v_x: int, v_y: int, params: GadgetParams) -> Gadget:
-    edges = build_a_edges(alpha, v_x, v_y, params)
-    for z in range(params.h):
-        edges |= build_padding(alpha, v_x, v_y, z, params)
-    return Gadget(alpha, (v_x, v_y), frozenset(edges))
+def build_gadget(alpha: int, v_x: int, v_y: int, params: GadgetParams) -> np.ndarray:
+    """The color graph of host edge (v_x, v_y) on pattern edge alpha: its
+    edges sorted and without repeats, as (m, 2) int64 rows with u < v."""
+    edges = np.concatenate(
+        [build_a_edges(alpha, v_x, v_y, params), build_padding(alpha, v_x, v_y, params)]
+    )
+    # one sort over the keys u * N + v orders the rows lexicographically;
+    # N^2 fits in int64, since a gadget has about N edges held in memory
+    n = params.vertex_count
+    keys = np.sort(edges[:, 0] * n + edges[:, 1])
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    out = np.empty((len(keys), 2), dtype=np.int64)
+    np.divmod(keys, n, out=(out[:, 0], out[:, 1]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -269,7 +278,7 @@ def reduce_psi_to_dcmc(inst: PsiInstance) -> PsiReduction:
             x, v_x, v_y = bv, v, u
         colors.append((alpha_of[(x, max(bu, bv))], v_x, v_y))
     colors.sort()
-    graphs = tuple(build_gadget(al, vx, vy, params).edges for al, vx, vy in colors)
+    graphs = tuple(build_gadget(al, vx, vy, params) for al, vx, vy in colors)
     dual = DualCmcInstance(params.vertex_count, graphs, a)
     return PsiReduction(dual, params, tuple(colors))
 
@@ -321,7 +330,6 @@ def decode_dual_witness(reduction: PsiReduction, witness) -> tuple[int, ...]:
 
 __all__ = [
     "HUB",
-    "Gadget",
     "GadgetParams",
     "NoPrimeInRange",
     "PatternDisconnected",

@@ -9,6 +9,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+from scipy import sparse
+
 
 class UnionFind:
     """Array-backed disjoint sets with path compression."""
@@ -81,12 +84,6 @@ class Graph:
             deg[v] += 1
         return deg
 
-    def max_degree(self) -> int:
-        return max(self.degrees(), default=0)
-
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
     def is_connected(self) -> bool:
         return is_connected(self.vertex_count, self.edges)
 
@@ -108,11 +105,18 @@ def is_connected(vertex_count: int, edges) -> bool:
     return False
 
 
-def component_count(vertex_count: int, edges) -> int:
-    uf = UnionFind(vertex_count)
-    for u, v in edges:
-        uf.union(u, v)
-    return uf.components
+def component_labels(vertex_count: int, edges: np.ndarray) -> tuple[int, np.ndarray]:
+    """Component count and per-vertex component labels of the graph on
+    vertex_count vertices whose edges are the rows of an (m, 2) int array."""
+    # imported on first use: it costs about 0.9 MB, and most commands
+    # (embed, for one) never test connectivity this way
+    from scipy.sparse.csgraph import connected_components
+
+    ones = np.ones(len(edges), dtype=np.int8)
+    adjacency = sparse.coo_matrix(
+        (ones, (edges[:, 0], edges[:, 1])), shape=(vertex_count, vertex_count)
+    )
+    return connected_components(adjacency, directed=False)
 
 
 def connected_in_subset(graph: Graph, subset) -> bool:

@@ -17,7 +17,7 @@ from typing import Hashable, NamedTuple
 
 import numpy as np
 
-from .graphs import UnionFind, is_connected
+from .graphs import component_labels, is_connected
 
 DEFAULT_CMC_VERTEX_CAP = 24
 DEFAULT_COMBINATION_CAP = 10**6
@@ -149,14 +149,48 @@ def solve_cmc_bruteforce(g: ColoredMultigraph, cap: int = DEFAULT_CMC_VERTEX_CAP
     return Answer(True, witness)
 
 
-@dataclass(frozen=True)
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _edge_array(es) -> np.ndarray:
+    """A color graph's edges as a sorted, duplicate-free (m, 2) int64 array
+    (rows in lexicographic order; endpoints are not reordered)."""
+    try:
+        arr = np.asarray(es if isinstance(es, np.ndarray) else list(es), dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError("color graph vertex beyond the int64 range") from exc
+    if arr.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("color graph edges must be vertex pairs")
+    if not rows_increase(arr):
+        arr = np.unique(arr, axis=0)
+    return arr
+
+
+def rows_increase(edges: np.ndarray) -> bool:
+    """Do the rows of an (m, 2) array strictly increase in lexicographic
+    order (so they are sorted and free of repeats)?"""
+    u, v = edges[:, 0], edges[:, 1]
+    return bool(np.all((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))))
+
+
+@dataclass(frozen=True, eq=False)
 class DualCmcInstance:
     """Fixed vertex set W with p edge sets over it; select exactly `a` of
-    them so that the union graph is disconnected (isolated vertices count)."""
+    them so that the union graph is disconnected (isolated vertices count).
+
+    Each color graph is given as an iterable of (u, v) pairs with u < v, or
+    as an (m, 2) int array, and is stored as a sorted, duplicate-free
+    read-only (m, 2) int64 array: color_graphs[i] is a view into one
+    concatenated `edges` array, rows offsets[i] to offsets[i + 1].
+    """
 
     vertex_count: int
-    color_graphs: tuple[frozenset[tuple[int, int]], ...]
+    color_graphs: tuple[np.ndarray, ...]
     a: int
+    edges: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.vertex_count < 1:
@@ -166,34 +200,61 @@ class DualCmcInstance:
         # have no host edges at all)
         if self.a < 0:
             raise ValueError(f"budget a={self.a} is negative")
-        for i, es in enumerate(self.color_graphs):
-            for u, v in es:
-                if not (0 <= u < v < self.vertex_count):
-                    raise ValueError(f"color graph {i + 1} edge ({u}, {v}) not normalized in range")
+        blocks = [_edge_array(es) for es in self.color_graphs]
+        offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
+        np.cumsum([len(b) for b in blocks], out=offsets[1:])
+        edges = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
+        u, v = edges[:, 0], edges[:, 1]
+        bad = (u < 0) | (u >= v)
+        if self.vertex_count <= _INT64_MAX:
+            bad |= v >= self.vertex_count
+        if bad.any():
+            i = int(np.argmax(bad))
+            color = int(np.searchsorted(offsets, i, side="right"))
+            raise ValueError(
+                f"color graph {color} edge ({u[i]}, {v[i]}) not normalized in range"
+            )
+        edges.flags.writeable = False
+        bounds = offsets.tolist()
+        views = tuple(edges[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+        object.__setattr__(self, "color_graphs", views)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "offsets", offsets)
 
     @property
     def p(self) -> int:
         return len(self.color_graphs)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DualCmcInstance):
+            return NotImplemented
+        return (
+            self.vertex_count == other.vertex_count
+            and self.a == other.a
+            and np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.edges, other.edges)
+        )
+
+    def union(self, selection) -> np.ndarray:
+        """Edge rows of the color graphs with the given 1-based indices."""
+        return np.concatenate([self.edges[:0]] + [self.color_graphs[i - 1] for i in selection])
+
 
 def solve_dual_bruteforce(d: DualCmcInstance, cap: int = DEFAULT_COMBINATION_CAP) -> Answer:
     """Try every a-subset of color graphs in lexicographic order of their
-    1-based indices; yes on the first whose edge union leaves W disconnected."""
+    1-based indices; yes on the first whose edge union leaves W disconnected
+    (scipy's connected components on the union)."""
     total = comb(d.p, d.a)
     if total > cap:
         raise CapExceeded(f"{total} combinations exceed the cap {cap}")
     if d.vertex_count <= 1 or d.a > d.p:
         return Answer(False, None)
-    sizes = [len(es) for es in d.color_graphs]
+    sizes = np.diff(d.offsets).tolist()
     for combo in itertools.combinations(range(1, d.p + 1), d.a):
         # fewer than n - 1 edges cannot connect n vertices
         if sum(sizes[gid - 1] for gid in combo) < d.vertex_count - 1:
             return Answer(True, combo)
-        uf = UnionFind(d.vertex_count)
-        for gid in combo:
-            for u, v in d.color_graphs[gid - 1]:
-                uf.union(u, v)
-        if uf.components >= 2:
+        if component_labels(d.vertex_count, d.union(combo))[0] >= 2:
             return Answer(True, combo)
     return Answer(False, None)
 
@@ -201,10 +262,10 @@ def solve_dual_bruteforce(d: DualCmcInstance, cap: int = DEFAULT_COMBINATION_CAP
 def cmc_to_dual(g: ColoredMultigraph) -> DualCmcInstance:
     """Color i turns into edge set i; the selection budget is a = p - k."""
     g = g.canonical()
-    graphs: list[set[tuple[int, int]]] = [set() for _ in range(g.p)]
+    graphs: list[list[tuple[int, int]]] = [[] for _ in range(g.p)]
     for u, v, c in g.edges:
-        graphs[c - 1].add((u, v))
-    return DualCmcInstance(g.vertex_count, tuple(frozenset(s) for s in graphs), g.p - g.k)
+        graphs[c - 1].append((u, v))
+    return DualCmcInstance(g.vertex_count, tuple(graphs), g.p - g.k)
 
 
 def dual_to_cmc(d: DualCmcInstance) -> ColoredMultigraph:
@@ -213,7 +274,7 @@ def dual_to_cmc(d: DualCmcInstance) -> ColoredMultigraph:
     Instances with a > p have no primal counterpart (k would be negative)."""
     if d.a > d.p:
         raise ValueError(f"budget a={d.a} exceeds p={d.p}: no primal counterpart")
-    edges = sorted((u, v, i + 1) for i, es in enumerate(d.color_graphs) for u, v in es)
+    edges = sorted((u, v, i + 1) for i, es in enumerate(d.color_graphs) for u, v in es.tolist())
     return ColoredMultigraph(d.vertex_count, tuple(edges), d.p, d.p - d.a)
 
 
@@ -334,10 +395,6 @@ class BinaryCsp:
         if (i, j) in self.constraints:
             rel &= self.constraints[(i, j)]
         self.constraints[(i, j)] = rel
-
-    def restrict_domain(self, i: int, allowed) -> None:
-        allowed = set(allowed)
-        self.domains[i] = tuple(v for v in self.domains[i] if v in allowed)
 
     def project_constraints(self) -> None:
         """Drop relation pairs mentioning values no longer in the domains."""

@@ -13,6 +13,8 @@ import math
 import random
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .config import RunConfig
 from .embedding import (
     EmbeddingFailed,
@@ -23,8 +25,8 @@ from .embedding import (
     sample_path_family,
     validate_embedding,
 )
-from .gadgets import decode_dual_witness, reduce_psi_to_dcmc
-from .graphs import component_count, random_max_degree3_graph
+from .gadgets import HUB, decode_dual_witness, reduce_psi_to_dcmc
+from .graphs import component_labels, random_max_degree3_graph
 from .instances import (
     CnfFormula,
     ColoredMultigraph,
@@ -160,8 +162,7 @@ def verify_duality(cfg: RunConfig) -> SuiteResult:
                 violations += 1
                 continue
             selected = dual.witness
-            union = [e for gid in selected for e in d.color_graphs[gid - 1]]
-            if len(selected) != d.a or component_count(d.vertex_count, union) < 2:
+            if len(selected) != d.a or component_labels(d.vertex_count, d.union(selected))[0] < 2:
                 violations += 1
                 continue
         if g.k < g.p:
@@ -195,12 +196,11 @@ def check_gadget_instance(inst: PsiInstance, cfg: RunConfig) -> dict:
         and dual.a == len(inst.pattern_edges)
     )
 
-    spanning_ok = True
-    for graph_edges in dual.color_graphs:
-        touched = {w for e in graph_edges for w in e}
-        if len(touched) != dual.vertex_count:
-            spanning_ok = False
-            break
+    spanning_ok = all(
+        np.count_nonzero(np.bincount(edges.ravel(), minlength=dual.vertex_count))
+        == dual.vertex_count
+        for edges in dual.color_graphs
+    )
 
     # any two distinct gadgets for the same pattern edge reconnect everything
     pairs_ok = True
@@ -209,8 +209,7 @@ def check_gadget_instance(inst: PsiInstance, cfg: RunConfig) -> dict:
         by_alpha.setdefault(alpha, []).append(idx)
     for indices in by_alpha.values():
         for i, j in itertools.combinations(indices, 2):
-            union = list(dual.color_graphs[i]) + list(dual.color_graphs[j])
-            if component_count(dual.vertex_count, union) != 1:
+            if component_labels(dual.vertex_count, dual.union((i + 1, j + 1)))[0] != 1:
                 pairs_ok = False
     psi_answer = solve_psi_bruteforce(inst, cfg.cap_psi_assignments)
     dual_answer = solve_dual_bruteforce(dual, cfg.cap_dual_combinations)
@@ -231,20 +230,11 @@ def check_gadget_instance(inst: PsiInstance, cfg: RunConfig) -> dict:
         chosen = []
         for alpha, (x, y) in enumerate(params.edge_order, start=1):
             chosen.append(index_of[(alpha, pick[x], pick[y])])
-        union = [e for gid in chosen for e in dual.color_graphs[gid - 1]]
-        if component_count(dual.vertex_count, union) < 2:
+        count, labels = component_labels(dual.vertex_count, dual.union(chosen))
+        # the selected images must sit together, away from the hub
+        roots = {labels[params.hat_vertex(x, pick[x])] for x in range(params.h)}
+        if count < 2 or len(roots) != 1 or labels[HUB] in roots:
             forward_ok = False
-        else:
-            # the selected images must sit together, away from the hub
-            from .graphs import UnionFind
-
-            uf = UnionFind(dual.vertex_count)
-            for u, v in union:
-                uf.union(u, v)
-            images = {params.hat_vertex(x, pick[x]) for x in range(params.h)}
-            roots = {uf.find(w) for w in images}
-            if len(roots) != 1 or uf.find(0) in roots:
-                forward_ok = False
 
     return {
         "reduction": reduction,

@@ -1,27 +1,29 @@
 """Second opinions: independently written solvers for cross-checking.
 
 Deliberately different algorithms from the package: subset combinations
-instead of vectorized masks, BFS instead of union-find, backtracking instead
-of product scans, DPLL instead of assignment enumeration, one LP commodity
-per vertex pair instead of per source, gadget edges placed digit by digit
-instead of shifted from per-block tables. Any disagreement points at a bug
-on one of the two sides.
+instead of vectorized masks, BFS and union-find instead of scipy's
+connected components, backtracking instead of product scans, DPLL instead of
+assignment enumeration, one LP commodity per vertex pair instead of per
+source, gadget edges placed digit by digit instead of broadcast from one
+star. Any disagreement points at a bug on one of the two sides.
 
 Also here: checks and generators only tests need (exact separation
-sparsity, gadget vertex decoding, uniform random simple graphs).
+sparsity, gadget vertex decoding, uniform random simple graphs, maximum
+degree).
 """
 
 import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from scipy import sparse
 from scipy.optimize import linprog
 
 from colorcut.gadgets import HUB
-from colorcut.graphs import Graph
-from colorcut.instances import CapExceeded
+from colorcut.graphs import Graph, UnionFind
+from colorcut.instances import DEFAULT_COMBINATION_CAP, Answer, CapExceeded
 
 SPARSITY_VERTEX_CAP = 12
 
@@ -65,15 +67,49 @@ def cmc_best_cut_colors(g):
     return best
 
 
+def component_count(vertex_count, edges):
+    uf = UnionFind(vertex_count)
+    for u, v in edges:
+        uf.union(u, v)
+    return uf.components
+
+
+def max_degree(graph):
+    return max(graph.degrees(), default=0)
+
+
 def dual_decision(d):
     """Is there an a-subset of color graphs whose union is disconnected?"""
     if d.vertex_count < 2:
         return False
     for combo in itertools.combinations(range(d.p), d.a):
-        edges = [e for i in combo for e in d.color_graphs[i]]
+        edges = [e for i in combo for e in d.color_graphs[i].tolist()]
         if bfs_component_count(d.vertex_count, edges) >= 2:
             return True
     return False
+
+
+def solve_dual_union_find(d, cap=DEFAULT_COMBINATION_CAP):
+    """Try every a-subset of color graphs in lexicographic order of their
+    1-based indices; yes on the first whose edge union leaves W disconnected.
+    A union-find over the edges of each subset, in Python."""
+    total = comb(d.p, d.a)
+    if total > cap:
+        raise CapExceeded(f"{total} combinations exceed the cap {cap}")
+    if d.vertex_count <= 1 or d.a > d.p:
+        return Answer(False, None)
+    sizes = [len(es) for es in d.color_graphs]
+    for combo in itertools.combinations(range(1, d.p + 1), d.a):
+        # fewer than n - 1 edges cannot connect n vertices
+        if sum(sizes[gid - 1] for gid in combo) < d.vertex_count - 1:
+            return Answer(True, combo)
+        uf = UnionFind(d.vertex_count)
+        for gid in combo:
+            for u, v in d.color_graphs[gid - 1].tolist():
+                uf.union(u, v)
+        if uf.components >= 2:
+            return Answer(True, combo)
+    return Answer(False, None)
 
 
 def psi_decision_backtracking(inst):

@@ -8,6 +8,11 @@ also run on every file the parser accepts and must exit 0, 1 or 2: the
 oracle caps bound the work of `solve`, and a vertex cap bounds that of
 `embed` and `reduce route`.
 
+parse_dcmc reads text in write_dcmc's exact layout with numpy and hands
+anything else to its line parser. On every dcmc mutant, and on mutants of
+a file in that layout, the two must agree: equal instances, or FormatError
+with the same message. Fixed near-canonical layouts must miss the fast path.
+
 Run as a script, `PYTHONPATH=src python tests/parser_fuzz.py [max_examples]`,
 under a memory limit, so that an allocation sized by a header count fails
 as a MemoryError instead of exhausting the machine;
@@ -67,6 +72,29 @@ SEEDS = {
 
 BAD_INTEGERS = ["99999999999", "-1", "-99999999999", "x", "1.5", "0"]
 
+# what write_dcmc emits, empty block included
+CANONICAL_DCMC = "dcmc 4 3 2\ng 1\ne 0 1\ne 1 3\ng 2\ng 3\ne 0 2\ne 2 3\n"
+
+# one step away from write_dcmc's layout: the fast path must decline each
+NEAR_CANONICAL_DCMC = [
+    "dcmc 4 1 1\ng 1\ne 0 1 e\n2 3\n",  # tokens shifted across lines
+    "dcmc 4 1 1\ng 1\ne 0 1 # comment\ne 2 3\n",
+    "# comment\ndcmc 4 1 1\ng 1\ne 0 1\n",
+    "dcmc 4 1 1\r\ng 1\r\ne 0 1\r\ne 2 3\r\n",  # CRLF line ends
+    "dcmc 4 1 1\ng 1\ne 01 2\n",
+    "dcmc 4 1 1\ng 1\ne 2 1\n",
+    "dcmc 4 1 1\ng 1\ne 2 3\ne 0 1\n",  # unsorted
+    "dcmc 4 1 1\ng 1\ne 0 1\ne 0 1\n",  # duplicate
+    "dcmc 4 1 1\ng 1\ne 0 1\n\n",  # trailing blank line
+    "dcmc 4 1 1\ng 1\ne 0 1",  # no final newline
+    "dcmc 4 1 1\ng 1\ne  0 1\n",
+    "dcmc 4 1 1\ng 1\ne +0 1\n",
+    "dcmc 4 1 1\ng 1\ne 0 1.0\n",
+    "dcmc 4 1 1\ng 1\ne 0 99999999999999999999\n",
+    "dcmc 4 2 1\ng 1\n\ng 2\ne 0 1\n",
+    "dcmc 4 1  1\ng 1\ne 0 1\n",
+]
+
 
 def _is_int(token: str) -> bool:
     try:
@@ -79,7 +107,12 @@ def _is_int(token: str) -> bool:
 @st.composite
 def mutated_files(draw):
     name = draw(st.sampled_from(sorted(SEEDS)))
-    lines = SEEDS[name][1].splitlines()
+    return name, draw(mutated_text(SEEDS[name][1]))
+
+
+@st.composite
+def mutated_text(draw, text):
+    lines = text.splitlines()
     for _ in range(draw(st.integers(1, 3))):
         if not lines:
             break
@@ -98,11 +131,25 @@ def mutated_files(draw):
             del lines[i]
         else:
             lines.insert(i, lines[i])
-    return name, "".join(line + "\n" for line in lines)
+    return "".join(line + "\n" for line in lines)
+
+
+def _outcome(parser, text: str):
+    try:
+        return parser(text)
+    except formats.FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+def check_dcmc_paths_agree(text: str) -> None:
+    fast, lines = _outcome(formats.parse_dcmc, text), _outcome(formats._parse_dcmc_lines, text)
+    assert fast == lines, (text, fast, lines)
 
 
 def check(name: str, text: str, workdir: Path) -> None:
     parser, _, argv = SEEDS[name]
+    if name == "dcmc":
+        check_dcmc_paths_agree(text)
     try:
         parser(text)
         rejected = False
@@ -123,21 +170,34 @@ def check(name: str, text: str, workdir: Path) -> None:
 
 
 def run(max_examples: int) -> None:
+    fuzz = settings(
+        max_examples=max_examples,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=list(HealthCheck),
+    )
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
 
-        @settings(
-            max_examples=max_examples,
-            derandomize=True,
-            database=None,
-            deadline=None,
-            suppress_health_check=list(HealthCheck),
-        )
+        @fuzz
         @given(mutated_files())
         def property_(case):
             check(*case, workdir)
 
         property_()
+
+    assert formats._parse_dcmc_canonical(CANONICAL_DCMC) is not None
+    for text in NEAR_CANONICAL_DCMC:
+        assert formats._parse_dcmc_canonical(text) is None, text
+        check_dcmc_paths_agree(text)
+
+    @fuzz
+    @given(mutated_text(CANONICAL_DCMC))
+    def canonical_property(text):
+        check_dcmc_paths_agree(text)
+
+    canonical_property()
 
 
 if __name__ == "__main__":

@@ -346,6 +346,15 @@ def test_config_file_and_override(capsys, files, tmp_path):
     assert report(text)["seed"] == "6"
 
 
+def test_config_file_with_removed_lp_tolerance_exits_2(capsys, files, tmp_path):
+    cnf = files("h.cnf", "p cnf 2 1\n1 2 0\n")
+    conf = files("old.json", json.dumps({"seed": 4, "lp_tolerance": 1e-6}))
+    out = str(tmp_path / "h.dcmc")
+    code, _, err = run(capsys, "reduce", "sat2dcmc", cnf, "-o", out, "--config", conf)
+    assert code == 2
+    assert "lp_tolerance" in err
+
+
 # one valid non-default value per RunConfig field; float fields get
 # non-integral values, so a float default written as an int fails to parse
 FLAG_VALUES = {
@@ -360,7 +369,6 @@ FLAG_VALUES = {
     "expander_target": 0.25,
     "expander_seed": 3,
     "expander_retries": 5,
-    "lp_tolerance": 2.5e-5,
     "embed_retries": 4,
     "c_hat": 2.5,
     "big_c_hat": 4.5,

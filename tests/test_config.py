@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from colorcut import embedding, flows, instances
+from colorcut import embedding, instances
 from colorcut.config import ENV_CONFIG_PATH, RunConfig, load_config
 
 
@@ -19,7 +19,6 @@ def test_defaults_track_module_constants():
     assert cfg.expander_target == embedding.DEFAULT_EXPANSION_TARGET
     assert cfg.expander_seed == embedding.DEFAULT_EXPANDER_SEED
     assert cfg.expander_retries == embedding.DEFAULT_EXPANDER_RETRIES
-    assert cfg.lp_tolerance == flows.DEFAULT_LP_TOLERANCE
     assert cfg.embed_retries == embedding.DEFAULT_EMBED_RETRIES
     assert cfg.c_hat == embedding.DEFAULT_C_HAT
     assert cfg.big_c_hat == embedding.DEFAULT_BIG_C_HAT
@@ -81,10 +80,6 @@ def test_validation():
         RunConfig(trials=0)
     with pytest.raises(ValueError, match="embed_retries"):
         RunConfig(embed_retries=0)
-    with pytest.raises(ValueError, match="lp_tolerance"):
-        RunConfig(lp_tolerance=0.0)
-    with pytest.raises(ValueError, match="lp_tolerance"):
-        RunConfig(lp_tolerance=0.5)
     with pytest.raises(ValueError, match="expander_target"):
         RunConfig(expander_target=0.0)
     with pytest.raises(ValueError, match="expander_target"):

@@ -36,7 +36,7 @@ def test_frozen_congestion_optima(graph, expected):
 def _assert_valid_paths(flow):
     """Every ordered pair has simple paths along host edges between its
     endpoints, weights summing to 1, and paths[(v, u)] reverses paths[(u, v)]."""
-    edge_set = flow.graph.edge_set()
+    edge_set = frozenset(flow.graph.edges)
     ell = flow.graph.vertex_count
     assert sorted(flow.paths) == [(u, v) for u in range(ell) for v in range(ell)]
     for (u, v), plist in flow.paths.items():

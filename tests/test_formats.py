@@ -1,4 +1,7 @@
 import random
+import re
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -80,7 +83,7 @@ def test_dcmc_round_trip():
 
 def test_dcmc_empty_color_graphs_allowed():
     d = parse_dcmc("dcmc 2 2 1\ng 1\ng 2\ne 0 1\n")
-    assert d.color_graphs == (frozenset(), frozenset({(0, 1)}))
+    assert [g.tolist() for g in d.color_graphs] == [[], [[0, 1]]]
 
 
 def test_dcmc_parse_tolerates_layout():
@@ -97,7 +100,7 @@ def test_dcmc_parse_tolerates_layout():
     e 3 1
     """
     d = parse_dcmc(text)
-    assert d.color_graphs == (frozenset({(0, 2), (1, 3)}), frozenset({(1, 3)}))
+    assert [g.tolist() for g in d.color_graphs] == [[[0, 2], [1, 3]], [[1, 3]]]
     assert write_dcmc(d) == "dcmc 4 2 1\ng 1\ne 0 2\ne 1 3\ng 2\ne 1 3\n"
 
 
@@ -243,3 +246,31 @@ def test_random_formula_round_trips():
     for _ in range(30):
         f = random_formula(rng)
         assert parse_cnf(write_cnf(f)) == f
+
+
+# header keyword -> (parser, writer) for the README's format examples
+README_FORMATS = {
+    "cmc": (parse_cmc, write_cmc),
+    "dcmc": (parse_dcmc, write_dcmc),
+    "psi": (parse_psi, write_psi),
+    "csp": (parse_csp, write_csp),
+    "graph": (parse_graph, write_graph),
+    "embed": (parse_embedding, write_embedding),
+    "gadgetmap": (parse_gadget_map, write_gadget_map),
+    "p": (parse_cnf, write_cnf),
+}
+
+
+def _readme_format_examples():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^( *)```\n(.*?)^\1```$", section, flags=re.M | re.S)
+    return [textwrap.dedent(body) for _, body in blocks]
+
+
+def test_readme_format_examples_round_trip():
+    examples = _readme_format_examples()
+    assert sorted(text.split()[0] for text in examples) == sorted(README_FORMATS)
+    for text in examples:
+        parser, writer = README_FORMATS[text.split()[0]]
+        assert writer(parser(text)) == text

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -141,8 +142,9 @@ def test_hat_block_and_hat_vertex():
 def test_a_edges_count_and_shape():
     inst = PsiInstance(2, ((0, 1),), 2, _blocks(2, 2), frozenset({(0, 2)}))
     p = _params(inst, 3)
-    edges = build_a_edges(1, 0, 2, p)
-    assert len(edges) == 1 + 2 * p.rho**p.a - 2  # 5
+    rows = build_a_edges(1, 0, 2, p).tolist()
+    edges = set(map(tuple, rows))
+    assert len(rows) == len(edges) == 1 + 2 * p.rho**p.a - 2  # 5
     ex, ey = p.hat_vertex(0, 0), p.hat_vertex(1, 2)
     assert (min(ex, ey), max(ex, ey)) in edges
     hub_edges = [e for e in edges if e[0] == HUB]
@@ -153,7 +155,10 @@ def test_a_edges_count_and_shape():
 def test_padding_count_and_shape():
     inst = PsiInstance(2, ((0, 1),), 2, _blocks(2, 2), frozenset({(0, 2)}))
     p = _params(inst, 3)
-    edges = build_padding(1, 0, 2, 0, p)
+    rows = build_padding(1, 0, 2, p).tolist()
+    assert len(set(map(tuple, rows))) == len(rows) == p.h * (1 + p.rho * p.b)
+    # block 0's part; the hub counts as no block
+    edges = [e for e in rows if oracles.decode_vertex(p, e[1]).block == 0]
     # one free-coordinate setting: 1 hub edge + rho*b star edges
     assert len(edges) == 1 + p.rho * p.b  # 7
     hub_edges = [e for e in edges if HUB in e]
@@ -175,9 +180,11 @@ def test_padding_count_and_shape():
 def _assert_gadgets_match_naive(inst: PsiInstance) -> int:
     red = reduce_psi_to_dcmc(inst)
     for graph, (alpha, vx, vy) in zip(red.dual.color_graphs, red.color_map):
-        edges = build_gadget(alpha, vx, vy, red.params).edges
-        assert edges == graph
-        assert edges == oracles.naive_gadget_edges(alpha, vx, vy, red.params)
+        edges = build_gadget(alpha, vx, vy, red.params)
+        assert np.array_equal(edges, graph)
+        assert list(map(tuple, edges.tolist())) == sorted(
+            oracles.naive_gadget_edges(alpha, vx, vy, red.params)
+        )
     return red.params.rho
 
 

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from oracles import random_simple_graph
+import numpy as np
+
+from oracles import component_count, max_degree, random_simple_graph
 from colorcut.graphs import (
     Graph,
     UnionFind,
-    component_count,
+    component_labels,
     connected_in_subset,
     is_connected,
     random_max_degree3_graph,
@@ -34,7 +36,7 @@ def test_make_rejects_out_of_range():
 def test_degrees_and_adjacency():
     g = Graph.make(4, [(0, 1), (0, 2), (0, 3)])
     assert g.degrees() == [3, 1, 1, 1]
-    assert g.max_degree() == 3
+    assert max_degree(g) == 3
     adj = g.adjacency()
     assert sorted(adj[0]) == [1, 2, 3]
     assert adj[1] == [0]
@@ -53,6 +55,20 @@ def test_component_count():
     assert component_count(5, [(0, 1), (2, 3)]) == 3
     assert component_count(3, []) == 3
     assert component_count(3, [(0, 1), (1, 2)]) == 1
+
+
+def test_component_labels_match_union_find():
+    count, labels = component_labels(6, np.array([[0, 1], [2, 3], [3, 4]]))
+    assert count == 3
+    assert labels[0] == labels[1] != labels[2] == labels[3] == labels[4] != labels[5]
+    assert component_labels(3, np.empty((0, 2), dtype=np.int64))[0] == 3
+    rng = random.Random(3)
+    for _ in range(40):
+        g = random_simple_graph(rng.randint(1, 12), 0, rng)
+        n = g.vertex_count
+        g = random_simple_graph(n, rng.randint(0, n * (n - 1) // 2), rng)
+        edges = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+        assert component_labels(n, edges)[0] == component_count(n, g.edges)
 
 
 def test_connected_in_subset():
@@ -104,7 +120,7 @@ def test_random_max_degree3_properties():
         m = rng.randint(0, (3 * n) // 2)
         g = random_max_degree3_graph(n, m, rng)
         assert g.edge_count == m
-        assert g.max_degree() <= 3
+        assert max_degree(g) <= 3
 
 
 def test_random_max_degree3_rejects_overfull():

@@ -4,7 +4,6 @@ from dataclasses import replace
 import pytest
 
 import oracles
-from colorcut.graphs import component_count
 from colorcut.instances import (
     Answer,
     BinaryCsp,
@@ -22,7 +21,14 @@ from colorcut.instances import (
     solve_psi_bruteforce,
     solve_sat_bruteforce,
 )
-from colorcut.verify import enumerate_formulas, random_cmc, random_formula
+from colorcut.config import RunConfig
+from colorcut.gadgets import reduce_psi_to_dcmc
+from colorcut.verify import (
+    enumerate_formulas,
+    exhaustive_gadget_family,
+    random_cmc,
+    random_formula,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +156,9 @@ def test_dual_matches_bfs_oracle():
         answer = solve_dual_bruteforce(d)
         assert answer.decision == oracles.dual_decision(d)
         if answer.decision:
-            union = [e for i in answer.witness for e in d.color_graphs[i - 1]]
+            union = d.union(answer.witness).tolist()
             assert len(answer.witness) == d.a
-            assert component_count(d.vertex_count, union) >= 2
+            assert oracles.component_count(d.vertex_count, union) >= 2
 
 
 def test_duality_decision_equivalence():
@@ -253,7 +259,7 @@ def test_csp_constrain_rejects_bad_pairs():
 def test_csp_project_constraints():
     csp = BinaryCsp([(0, 1), (0, 1)])
     csp.constrain(0, 1, {(0, 0), (1, 1)})
-    csp.restrict_domain(0, {0})
+    csp.domains[0] = (0,)  # restrict variable 0 to the value 0
     csp.project_constraints()
     assert csp.constraints[(0, 1)] == frozenset({(0, 0)})
     csp.validate()
@@ -361,3 +367,55 @@ def test_sat_matches_dpll_random():
     for _ in range(120):
         f = random_formula(rng)
         assert solve_sat_bruteforce(f).decision == oracles.sat_decision_dpll(f)
+
+
+# ---------------------------------------------------------------------------
+# Array solver against the union-find reference
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_answer(d):
+    assert solve_dual_bruteforce(d) == oracles.solve_dual_union_find(d)
+
+
+def test_dual_solver_matches_union_find_on_duality_instances():
+    # the instances verify_duality draws with the default seed and trials
+    rng = random.Random(RunConfig().seed)
+    for _ in range(RunConfig().trials):
+        _assert_same_answer(cmc_to_dual(random_cmc(rng)))
+
+
+def test_dual_solver_matches_union_find_on_the_gadget_family():
+    for inst in exhaustive_gadget_family():
+        _assert_same_answer(reduce_psi_to_dcmc(inst).dual)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        DualCmcInstance(3, (((0, 1),),), 2),  # a > p
+        DualCmcInstance(1, ((), ()), 1),  # one vertex
+        DualCmcInstance(1, (), 0),
+        DualCmcInstance(3, ((), (), ()), 2),  # empty color graphs
+        DualCmcInstance(2, ((), ((0, 1),)), 1),
+        DualCmcInstance(3, ((), ((0, 1), (1, 2))), 0),  # a = 0
+        DualCmcInstance(10**11, (((0, 1),), ((1, 2), (5, 10**10))), 1),
+        DualCmcInstance(10**11, (((0, 1),), ((1, 2), (5, 10**10))), 2),
+        DualCmcInstance(4, (((0, 1), (2, 3)), ((1, 2),), ((0, 3),)), 2),
+        DualCmcInstance(4, (((0, 1), (0, 2), (1, 2)), ((0, 3),)), 1),
+    ],
+    ids=[
+        "a-above-p",
+        "one-vertex",
+        "one-vertex-p0",
+        "empty",
+        "empty-first",
+        "a0",
+        "huge-a1",
+        "huge-a2",
+        "mixed",
+        "isolated-vertex",
+    ],
+)
+def test_dual_solver_matches_union_find_on_edge_cases(d):
+    _assert_same_answer(d)
