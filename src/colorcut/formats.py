@@ -103,11 +103,16 @@ def parse_dcmc(text: str) -> DualCmcInstance:
     return dual if dual is not None else _parse_dcmc_lines(text)
 
 
+_ZERO, _SPACE, _NEWLINE, _E = (ord(c) for c in "0 \ne")
+# 10, 100, ..., 10**18: a value's digit count is one more than the number
+# of these it reaches
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
 def _parse_dcmc_canonical(text: str) -> DualCmcInstance | None:
     """The instance when text is byte for byte what write_dcmc would emit
-    for it, else None. Each block is parsed with numpy, then re-serialized
-    and compared with its text; the edges must be sorted, duplicate-free
-    and have u < v, which the comparison alone would not ensure."""
+    for it, else None. Each block is read by _canonical_edges; the edges
+    must also be sorted, duplicate-free and have u < v."""
     if not text.endswith("\n"):
         return None
     chunks = text[:-1].split("\ng ")
@@ -125,23 +130,51 @@ def _parse_dcmc_canonical(text: str) -> DualCmcInstance | None:
         # numpy warns, or raises, when a token is not an integer
         warnings.simplefilter("error", DeprecationWarning)
         for i, chunk in enumerate(chunks[1:], 1):
-            _, _, body = chunk.partition("\n")
-            try:
-                flat = np.fromstring(body.replace("e", " "), dtype=np.int64, sep=" ")
-            except (ValueError, DeprecationWarning):
+            label, newline, body = chunk.partition("\n")
+            if label != str(i) or (newline and not body):
                 return None
-            if flat.size % 2 or chunk != f"{i}" + ("\ne %d %d" * (flat.size // 2)) % tuple(
-                flat.tolist()
-            ):
-                return None
-            edges = flat.reshape(-1, 2)
-            if not (np.all(edges[:, 0] < edges[:, 1]) and rows_increase(edges)):
+            edges = _canonical_edges(body + "\n" if body else "")
+            if edges is None or not (np.all(edges[:, 0] < edges[:, 1]) and rows_increase(edges)):
                 return None
             graphs.append(edges)
     try:
         return DualCmcInstance(n, tuple(graphs), a)
     except ValueError:
         return None
+
+
+def _canonical_edges(lines: str) -> np.ndarray | None:
+    """The (m, 2) array of lines that are exactly `e <u> <v>\\n`, m times,
+    with u and v written in decimal without sign or leading zeros; else
+    None. The values are read with numpy first; their digit counts then fix
+    where every separator must sit, and every other byte must be a digit."""
+    try:
+        flat = np.fromstring(lines.replace("e", " "), dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    # numpy clamps values past the int64 range to its maximum
+    if flat.size % 2 or (flat.size and flat.max() == np.iinfo(np.int64).max):
+        return None
+    raw = np.frombuffer(lines.encode(), dtype=np.uint8)
+    digits = 1 + np.searchsorted(_POWERS_OF_TEN, flat, side="right")
+    du, dv = digits[0::2], digits[1::2]
+    ends = np.cumsum(du + dv + 4)  # "e u v\n" is du + dv + 4 bytes long
+    if raw.size != (ends[-1] if ends.size else 0):
+        return None
+    starts = ends - (du + dv + 4)
+    separators = (
+        (raw[starts] == _E).all()
+        and (raw[starts + 1] == _SPACE).all()
+        and (raw[starts + 2 + du] == _SPACE).all()
+        and (raw[ends - 1] == _NEWLINE).all()
+    )
+    # with the separators in place, the other bytes are all digits iff
+    # there are as many digit bytes as the values have digits; so each
+    # number is exactly as long as its value's digit count, which leaves no
+    # room for a leading zero
+    if not separators or np.count_nonzero((raw >= _ZERO) & (raw <= _ZERO + 9)) != digits.sum():
+        return None
+    return flat.reshape(-1, 2)
 
 
 def _parse_dcmc_lines(text: str) -> DualCmcInstance:

@@ -1,6 +1,7 @@
 """Shared undirected-graph primitives.
 
-Canonical simple graphs, union-find, connectivity helpers, and the random
+Canonical simple graphs, union-find, connectivity helpers (including a
+numpy hook-and-compress component labelling of edge arrays), and the random
 graph generators used by the verification suites.
 """
 
@@ -10,7 +11,6 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 
 class UnionFind:
@@ -107,16 +107,32 @@ def is_connected(vertex_count: int, edges) -> bool:
 
 def component_labels(vertex_count: int, edges: np.ndarray) -> tuple[int, np.ndarray]:
     """Component count and per-vertex component labels of the graph on
-    vertex_count vertices whose edges are the rows of an (m, 2) int array."""
-    # imported on first use: it costs about 0.9 MB, and most commands
-    # (embed, for one) never test connectivity this way
-    from scipy.sparse.csgraph import connected_components
+    vertex_count vertices whose edges are the rows of an (m, 2) int array.
 
-    ones = np.ones(len(edges), dtype=np.int8)
-    adjacency = sparse.coo_matrix(
-        (ones, (edges[:, 0], edges[:, 1])), shape=(vertex_count, vertex_count)
-    )
-    return connected_components(adjacency, directed=False)
+    labels[v] is the smallest vertex id in v's component, and the count is
+    the number of v with labels[v] == v. Rows may have u > v, be self-loops
+    or repeat.
+
+    Each round hooks the larger label of every edge whose endpoint labels
+    differ to the smallest label it meets, then pointer-jumps until every
+    label is a root. Labels only decrease and stay inside their component;
+    the smallest vertex of a component is always its own root, so once no
+    edge joins two labels each component carries that vertex's id."""
+    labels = np.arange(vertex_count)
+    u, v = edges[:, 0], edges[:, 1]
+    while True:
+        lu, lv = labels[u], labels[v]
+        differ = lu != lv
+        if not differ.any():
+            break
+        u, v, lu, lv = u[differ], v[differ], lu[differ], lv[differ]
+        np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+    return int(np.count_nonzero(labels == np.arange(vertex_count))), labels
 
 
 def connected_in_subset(graph: Graph, subset) -> bool:

@@ -243,7 +243,7 @@ class DualCmcInstance:
 def solve_dual_bruteforce(d: DualCmcInstance, cap: int = DEFAULT_COMBINATION_CAP) -> Answer:
     """Try every a-subset of color graphs in lexicographic order of their
     1-based indices; yes on the first whose edge union leaves W disconnected
-    (scipy's connected components on the union)."""
+    (graphs.component_labels on the union)."""
     total = comb(d.p, d.a)
     if total > cap:
         raise CapExceeded(f"{total} combinations exceed the cap {cap}")

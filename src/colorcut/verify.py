@@ -25,7 +25,7 @@ from .embedding import (
     sample_path_family,
     validate_embedding,
 )
-from .gadgets import HUB, decode_dual_witness, reduce_psi_to_dcmc
+from .gadgets import HUB, WitnessDecodeError, decode_dual_witness, reduce_psi_to_dcmc
 from .graphs import component_labels, random_max_degree3_graph
 from .instances import (
     CnfFormula,
@@ -219,9 +219,10 @@ def check_gadget_instance(inst: PsiInstance, cfg: RunConfig) -> dict:
     if dual_answer.decision:
         try:
             selection = decode_dual_witness(reduction, dual_answer.witness)
-            decode_ok = psi_selection_ok(inst, selection)
-        except Exception:
+        except WitnessDecodeError:
             decode_ok = False
+        else:
+            decode_ok = psi_selection_ok(inst, selection)
 
     forward_ok = True
     if psi_answer.decision:

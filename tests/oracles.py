@@ -1,11 +1,11 @@
 """Second opinions: independently written solvers for cross-checking.
 
 Deliberately different algorithms from the package: subset combinations
-instead of vectorized masks, BFS and union-find instead of scipy's
-connected components, backtracking instead of product scans, DPLL instead of
-assignment enumeration, one LP commodity per vertex pair instead of per
-source, gadget edges placed digit by digit instead of broadcast from one
-star. Any disagreement points at a bug on one of the two sides.
+instead of vectorized masks, BFS and union-find instead of numpy
+hook-and-compress component labelling, backtracking instead of product
+scans, DPLL instead of assignment enumeration, one LP commodity per vertex
+pair instead of per source, gadget edges placed digit by digit instead of
+broadcast from one star. Any disagreement points at a bug on one of the two sides.
 
 Also here: checks and generators only tests need (exact separation
 sparsity, gadget vertex decoding, uniform random simple graphs, maximum

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from colorcut import formats
 from colorcut.embedding import embed, validate_embedding
 from colorcut.formats import (
     FormatError,
@@ -32,6 +33,7 @@ from colorcut.instances import (
     BinaryCsp,
     CnfFormula,
     ColoredMultigraph,
+    DualCmcInstance,
     PsiInstance,
     solve_csp_bruteforce,
 )
@@ -113,6 +115,20 @@ def test_dcmc_parse_errors():
         parse_dcmc("dcmc 2 1 1\ne 0 1\ng 1\n")  # edge before block
     with pytest.raises(FormatError):
         parse_dcmc("dcmc 2 1 1\ng 1\ne 1 1\n")  # self-loop
+
+
+def test_dcmc_fast_path_checks_bytes():
+    # multi-digit values in several blocks take the numpy path
+    d = DualCmcInstance(1000, ([(0, 9), (9, 10), (99, 999)], [], [(5, 100)]), 2)
+    text = write_dcmc(d)
+    assert formats._parse_dcmc_canonical(text) == d
+    # a leading zero, and a value numpy clamps to the int64 maximum, must
+    # miss it; the line parser then decides
+    assert formats._parse_dcmc_canonical("dcmc 1000 1 1\ng 1\ne 0 010\n") is None
+    clamped = "dcmc 99999999999999999999 1 1\ng 1\ne 0 9999999999999999999\n"
+    assert formats._parse_dcmc_canonical(clamped) is None
+    with pytest.raises(FormatError, match="beyond the int64 range"):
+        parse_dcmc(clamped)
 
 
 def test_psi_round_trip():

@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 import numpy as np
 
+import colorcut
 from oracles import component_count, max_degree, random_simple_graph
 from colorcut.graphs import (
     Graph,
@@ -57,6 +63,26 @@ def test_component_count():
     assert component_count(3, [(0, 1), (1, 2)]) == 1
 
 
+def check_component_labels(n, rows):
+    """component_labels against union-find: same count, same partition, and
+    each label the smallest vertex id of its component."""
+    edges = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    count, labels = component_labels(n, edges)
+    assert count == component_count(n, rows)
+    uf = UnionFind(n)
+    for u, v in rows:
+        uf.union(u, v)
+    members: dict[int, list[int]] = {}
+    for v in range(n):
+        members.setdefault(uf.find(v), []).append(v)
+    expected = [0] * n
+    for component in members.values():
+        smallest = min(component)
+        for v in component:
+            expected[v] = smallest
+    assert labels.tolist() == expected
+
+
 def test_component_labels_match_union_find():
     count, labels = component_labels(6, np.array([[0, 1], [2, 3], [3, 4]]))
     assert count == 3
@@ -69,6 +95,63 @@ def test_component_labels_match_union_find():
         g = random_simple_graph(n, rng.randint(0, n * (n - 1) // 2), rng)
         edges = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
         assert component_labels(n, edges)[0] == component_count(n, g.edges)
+        check_component_labels(n, list(g.edges))
+
+
+def test_component_labels_any_rows():
+    # rows with u > v, self-loops and repeats, as a union of color graphs has
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        rows = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+        rows += rng.sample(rows, len(rows) // 3)
+        check_component_labels(n, rows)
+    check_component_labels(4, [(3, 1), (1, 3), (3, 3), (2, 0), (2, 0)])
+
+
+def test_component_labels_without_edges():
+    check_component_labels(0, [])
+    check_component_labels(1, [])
+    check_component_labels(5, [])
+    check_component_labels(7, [(5, 2), (2, 6)])  # 0, 1, 3 and 4 stay alone
+
+
+def test_component_labels_adversarial_shapes():
+    n = 10_000
+    order = list(range(n))
+    random.Random(11).shuffle(order)
+    check_component_labels(n, list(zip(order, order[1:])))  # path in random id order
+    check_component_labels(50, [(49, v) for v in range(49)])  # centre has the highest id
+    spine = list(range(99, 49, -1))  # a descending spine, one smaller leaf on each
+    caterpillar = list(zip(spine, spine[1:])) + [(s, s - 50) for s in spine]
+    check_component_labels(100, caterpillar)
+
+
+def test_union_tests_do_not_load_scipy_csgraph():
+    # the gadget checks and the dual solver label components with numpy alone
+    script = textwrap.dedent(
+        """
+        import itertools, sys
+        from colorcut.config import RunConfig
+        from colorcut.instances import solve_dual_bruteforce
+        from colorcut.verify import check_gadget_instance, exhaustive_gadget_family
+
+        for inst in itertools.islice(exhaustive_gadget_family(), 0, 798, 160):
+            result = check_gadget_instance(inst, RunConfig())
+            solve_dual_bruteforce(result["reduction"].dual)
+        assert "scipy.sparse.csgraph" not in sys.modules
+        """
+    )
+    src = str(Path(colorcut.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_connected_in_subset():

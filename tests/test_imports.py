@@ -1,13 +1,29 @@
-"""Import hygiene: every module-level or local import in the package and the
-tests is used, either in the code or by name in the module's __all__."""
+"""Import and dead-code hygiene: every module-level or local import in the
+package and the tests is used, either in the code or by name in the module's
+__all__; and every function, class and method of the package is referenced
+by code outside the tests."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "colorcut").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "colorcut").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+# code that may use the package; the benchmark's own tests do not count
+USERS = PACKAGE + sorted(
+    p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")
+)
+
+# package names with no caller outside the tests, and why they stay
+FORMAT_WRITER = "README format writer: every documented format's writer output re-parses"
+UNREFERENCED_ALLOWED = {
+    "formats.write_cmc": FORMAT_WRITER,
+    "formats.write_cnf": FORMAT_WRITER,
+    "formats.parse_gadget_map": "reads what `reduce` writes; stays until witness decoding calls it",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +54,62 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def referenced_names(tree) -> Counter:
+    """How often each name is read, as a bare name or as an attribute."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+    return names
+
+
+def definitions(tree):
+    """Module-level functions and classes, and the methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield f"{node.name}.{sub.name}", sub
+
+
+def unreferenced(package: dict[str, str], users: list[str]) -> list[str]:
+    """Qualified names of definitions in the package sources that nothing in
+    the user sources reads, apart from the definition's own body. Dunder
+    methods are called implicitly and never count."""
+    names = Counter()
+    for source in users:
+        names.update(referenced_names(ast.parse(source)))
+    found = []
+    for module, source in package.items():
+        for qualname, node in definitions(ast.parse(source)):
+            short = qualname.rsplit(".", 1)[-1]
+            if short.startswith("__") and short.endswith("__"):
+                continue
+            if names[short] - referenced_names(node)[short] == 0:
+                found.append(f"{module}.{qualname}")
+    return found
+
+
+def test_unreferenced_detector():
+    package = {
+        "m": "def used():\n    pass\n\n"
+        "def dead():\n    dead()\n\n"
+        "class C:\n    def __init__(self):\n        self.go()\n\n"
+        "    def go(self):\n        pass\n\n"
+        "    def idle(self):\n        pass\n"
+    }
+    users = [*package.values(), "used()\nC()\n"]
+    assert unreferenced(package, users) == ["m.dead", "m.C.idle"]
+
+
+def test_no_unreferenced_package_code():
+    package = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    users = [path.read_text(encoding="utf-8") for path in USERS]
+    # an entry that gains a caller leaves the allowlist
+    assert sorted(unreferenced(package, users)) == sorted(UNREFERENCED_ALLOWED)

@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import pytest
 
+from colorcut import verify
 from colorcut.config import RunConfig
 from colorcut.embedding import ExpansionTargetUnmet
+from colorcut.gadgets import WitnessDecodeError
 from colorcut.instances import PsiInstance, solve_sat_bruteforce
 from colorcut.verify import (
     EXHAUSTIVE_PATTERNS,
@@ -96,19 +98,34 @@ def test_verify_duality_smoke():
     assert any(line == "duality_ok=1" for line in result.lines)
 
 
+# one pattern edge, two host edges: a yes instance
+YES_PSI = PsiInstance(2, ((0, 1),), 2, ((0, 1), (2, 3)), frozenset({(0, 2), (1, 3)}))
+
+
 def test_check_gadget_instance_flags():
-    inst = PsiInstance(
-        2,
-        ((0, 1),),
-        2,
-        ((0, 1), (2, 3)),
-        frozenset({(0, 2), (1, 3)}),
-    )
-    result = check_gadget_instance(inst, CFG)
+    result = check_gadget_instance(YES_PSI, CFG)
     for key in ("size_ok", "spanning_ok", "pairs_ok", "equiv_ok", "decode_ok", "forward_ok"):
         assert result[key], key
     assert result["psi_decision"] and result["dual_decision"]
     assert result["reduction"].dual.p == 2
+
+
+def _raise(exc):
+    def decode(reduction, witness):
+        raise exc
+
+    return decode
+
+
+def test_check_gadget_instance_decode_errors(monkeypatch):
+    # a selection that does not decode is a failed check; a bug in decoding
+    # must surface instead of reading as one
+    monkeypatch.setattr(verify, "decode_dual_witness", _raise(WitnessDecodeError("no")))
+    result = check_gadget_instance(YES_PSI, CFG)
+    assert result["dual_decision"] and result["decode_ok"] is False
+    monkeypatch.setattr(verify, "decode_dual_witness", _raise(IndexError("bug")))
+    with pytest.raises(IndexError):
+        check_gadget_instance(YES_PSI, CFG)
 
 
 def test_check_gadget_instance_sample_of_family():
