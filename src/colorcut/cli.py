@@ -323,13 +323,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (formats.FormatError, CapExceeded, ExpansionTargetUnmet) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CapExceeded, ExpansionTargetUnmet, OSError, ValueError) as exc:
+        # FormatError and InvalidEmbedding are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,6 +37,10 @@ class InvalidK(ValueError):
     """The size budget k must be at least 2."""
 
 
+class InvalidEmbedding(ValueError):
+    """Branch sets that do not embed a graph into a host."""
+
+
 class ExpansionTargetUnmet(Exception):
     """No sampled host reached the expansion target; lower the target."""
 
@@ -330,16 +334,21 @@ def embed(graph: Graph, k: int, seed: int, cfg: RunConfig = RunConfig()) -> Embe
     n, m = graph.vertex_count, graph.edge_count
     if n > DEFAULT_GRAPH_VERTEX_CAP:
         raise CapExceeded(f"{n} vertices exceed the embedding cap {DEFAULT_GRAPH_VERTEX_CAP}")
+    emb = _place(graph, k, seed, cfg)
     bound = depth_bound(k, n, m, cfg.big_c_hat)
+    if emb.depth > bound:
+        raise EmbeddingFailed(emb.depth, bound, seed)
+    return emb
 
+
+def _place(graph: Graph, k: int, seed: int, cfg: RunConfig) -> Embedding:
+    """embed's three constructions, before the depth audit."""
+    n = graph.vertex_count
     if k < 8:
         host = Graph.make(1, [])
         branch = {v: frozenset({0}) for v in range(n)}
         zeta = {v: 0 for v in range(n)}
-        emb = Embedding(host, branch, zeta, 1)
-        if emb.depth > bound:
-            raise EmbeddingFailed(emb.depth, bound, seed)
-        return emb
+        return Embedding(host, branch, zeta, 1)
 
     reduced, groups = reduce_degrees(graph)
     rn, rm = reduced.vertex_count, reduced.edge_count
@@ -349,10 +358,7 @@ def embed(graph: Graph, k: int, seed: int, cfg: RunConfig = RunConfig()) -> Embe
         host = Graph.make(max(rn, ell), reduced.edges)
         branch = {v: frozenset(groups[v]) for v in range(n)}
         zeta = {w: w for w in range(rn)}
-        emb = Embedding(host, branch, zeta, host.vertex_count)
-        if emb.depth > bound:
-            raise EmbeddingFailed(emb.depth, bound, seed)
-        return emb
+        return Embedding(host, branch, zeta, host.vertex_count)
 
     cert, flow = expander_flow(ell, cfg)
     host = cert.graph
@@ -380,10 +386,7 @@ def embed(graph: Graph, k: int, seed: int, cfg: RunConfig = RunConfig()) -> Embe
         for w in groups[v]:
             combined |= reduced_branch[w]
         branch[v] = frozenset(combined)
-    emb = Embedding(host, branch, zeta, ell, tuple(draws))
-    if emb.depth > bound:
-        raise EmbeddingFailed(emb.depth, bound, seed)
-    return emb
+    return Embedding(host, branch, zeta, ell, tuple(draws))
 
 
 def embed_with_retry(
@@ -402,28 +405,33 @@ def embed_with_retry(
     raise last
 
 
-def validate_embedding(emb: Embedding, graph: Graph) -> None:
-    """Raise ValueError when a structural invariant fails: missing, empty or
-    induced-disconnected branch sets, an untouched source edge, a stale
-    depth, unbalanced buckets, or a bucket outside its own branch set."""
-    host = emb.host
-    adj = host.adjacency()
-    for v in range(graph.vertex_count):
-        if v not in emb.branch_sets:
-            raise ValueError(f"no branch set for vertex {v}")
-        bs = emb.branch_sets[v]
+def check_branch_sets(host: Graph, branch_sets, vertex_count: int, edges) -> None:
+    """Raise InvalidEmbedding unless every vertex 0..vertex_count-1 has a
+    nonempty branch set inside the host that induces a connected subgraph,
+    and the branch sets of the two ends of every edge share a host vertex
+    or are joined by a host edge."""
+    for v in range(vertex_count):
+        bs = branch_sets.get(v)
+        if bs is None:
+            raise InvalidEmbedding(f"no branch set for vertex {v}")
         if not bs:
-            raise ValueError(f"empty branch set for vertex {v}")
+            raise InvalidEmbedding(f"empty branch set for vertex {v}")
         if any(not 0 <= w < host.vertex_count for w in bs):
-            raise ValueError(f"branch set of {v} leaves the host")
+            raise InvalidEmbedding(f"branch set of {v} leaves the host")
         if not connected_in_subset(host, bs):
-            raise ValueError(f"branch set of {v} is not connected in the host")
-    for u, v in graph.edges:
-        bu, bv = emb.branch_sets[u], emb.branch_sets[v]
-        if bu & bv:
-            continue
-        if not any((w in bv) for x in bu for w in adj[x]):
-            raise ValueError(f"edge ({u}, {v}) does not touch")
+            raise InvalidEmbedding(f"branch set of {v} is not connected in the host")
+    adj = host.adjacency()
+    for u, v in edges:
+        bu, bv = branch_sets[u], branch_sets[v]
+        if not (bu & bv) and not any((w in bv) for x in bu for w in adj[x]):
+            raise InvalidEmbedding(f"edge ({u}, {v}) does not touch in the host")
+
+
+def validate_embedding(emb: Embedding, graph: Graph) -> None:
+    """Raise ValueError when a structural invariant fails: the branch sets
+    (check_branch_sets, which raises InvalidEmbedding), a stale depth,
+    unbalanced buckets, or a bucket outside its own branch set."""
+    check_branch_sets(emb.host, emb.branch_sets, graph.vertex_count, graph.edges)
     if emb.depth != emb.compute_depth():
         raise ValueError("stored depth is stale")
     for v, w in emb.zeta.items():
@@ -505,10 +513,12 @@ __all__ = [
     "EmbeddingFailed",
     "ExpanderCertificate",
     "ExpansionTargetUnmet",
+    "InvalidEmbedding",
     "InvalidK",
     "PathDraw",
     "audit_congestion",
     "build_expander",
+    "check_branch_sets",
     "clear_flow_cache",
     "depth_bound",
     "edge_expansion_exhaustive",

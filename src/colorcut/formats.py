@@ -2,12 +2,15 @@
 
 Writers emit canonical sorted output, so equal in-memory values produce
 identical bytes and every emitted file re-parses to an equal value. The CNF
-format is DIMACS (with 'c' comment lines and a '%' end marker tolerated).
+format is DIMACS (with 'c' comment lines and a '%' end marker tolerated);
+every other format is read by _read, which owns the header-first rule, the
+dispatch of records on their keyword and the messages for both.
 """
 
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -26,13 +29,6 @@ class FormatError(ValueError):
     """Malformed instance text."""
 
 
-def _records(text: str):
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
-
-
 def _int_fields(fields, lineno, count=None):
     """Parse integer fields; with a count, any other number of them is malformed."""
     if count is not None and len(fields) != count:
@@ -41,6 +37,41 @@ def _int_fields(fields, lineno, count=None):
         return [int(f) for f in fields]
     except ValueError as exc:
         raise FormatError(f"line {lineno}: expected integers, got {fields}") from exc
+
+
+def _read(text: str, header: str, records) -> list[int]:
+    """Read a line format and return its header's integers.
+
+    `header` describes the first record, e.g. 'cmc n m p k': its keyword,
+    then one integer per further word. Every later record goes to
+    records[keyword](fields, lineno), with the fields after the keyword.
+    '#' starts a comment; blank lines are skipped."""
+    words = header.split()
+    values = None
+    for lineno, line in enumerate(text.splitlines(), 1):
+        fields = line.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if values is None:
+            if fields[0] != words[0] or len(fields) != len(words):
+                raise FormatError(f"line {lineno}: expected '{header}' header")
+            values = _int_fields(fields[1:], lineno)
+        elif fields[0] in records:
+            records[fields[0]](fields[1:], lineno)
+        else:
+            raise FormatError(f"line {lineno}: unexpected record {fields[0]!r}")
+    if values is None:
+        raise FormatError(f"missing '{words[0]}' header")
+    return values
+
+
+@contextmanager
+def _as_format_error():
+    """Report a ValueError from building the parsed value as a FormatError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -53,29 +84,14 @@ def parse_cmc(text: str) -> ColoredMultigraph:
 
     The result is canonical; every color in 1..p must occur on some edge.
     """
-    header = None
     edges = []
-    for lineno, fields in _records(text):
-        if header is None:
-            if fields[0] != "cmc" or len(fields) != 5:
-                raise FormatError(f"line {lineno}: expected 'cmc n m p k' header")
-            header = _int_fields(fields[1:], lineno)
-        elif fields[0] == "e":
-            if len(fields) != 4:
-                raise FormatError(f"line {lineno}: expected 'e u v color'")
-            edges.append(tuple(_int_fields(fields[1:], lineno)))
-        else:
-            raise FormatError(f"line {lineno}: unexpected record {fields[0]!r}")
-    if header is None:
-        raise FormatError("missing 'cmc' header")
-    n, m, p, k = header
+    records = {"e": lambda fields, lineno: edges.append(tuple(_int_fields(fields, lineno, 3)))}
+    n, m, p, k = _read(text, "cmc n m p k", records)
     if len(edges) != m:
         raise FormatError(f"header promises {m} edges, found {len(edges)}")
-    try:
+    with _as_format_error():
         g = ColoredMultigraph(n, tuple(edges), p, k).canonical()
         g.require_full_palette()
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
     return g
 
 
@@ -179,47 +195,27 @@ def _canonical_edges(lines: str) -> np.ndarray | None:
 
 def _parse_dcmc_lines(text: str) -> DualCmcInstance:
     """parse_dcmc for any layout: one pass over the lines."""
-    header = None
     graphs: list[set[tuple[int, int]]] = []
-    current = None
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if "#" in line:
-            line = line.split("#", 1)[0]
-        fields = line.split()
-        if not fields:
-            continue
-        if fields[0] == "e" and current is not None:
-            try:
-                _, u, v = fields
-                u, v = int(u), int(v)
-            except ValueError:
-                u, v = _int_fields(fields[1:], lineno, 2)
-            if u == v:
-                raise FormatError(f"line {lineno}: self-loop at {u}")
-            current.add((u, v) if u < v else (v, u))
-        elif header is None:
-            if fields[0] != "dcmc" or len(fields) != 4:
-                raise FormatError(f"line {lineno}: expected 'dcmc n p a' header")
-            header = _int_fields(fields[1:], lineno)
-        elif fields[0] == "g":
-            (i,) = _int_fields(fields[1:], lineno, 1)
-            if i != len(graphs) + 1:
-                raise FormatError(f"line {lineno}: color graphs must appear in order, got g {i}")
-            current = set()
-            graphs.append(current)
-        elif fields[0] == "e":
+
+    def block(fields, lineno):
+        (i,) = _int_fields(fields, lineno, 1)
+        if i != len(graphs) + 1:
+            raise FormatError(f"line {lineno}: color graphs must appear in order, got g {i}")
+        graphs.append(set())
+
+    def edge(fields, lineno):
+        if not graphs:
             raise FormatError(f"line {lineno}: edge before any 'g' block")
-        else:
-            raise FormatError(f"line {lineno}: unexpected record {fields[0]!r}")
-    if header is None:
-        raise FormatError("missing 'dcmc' header")
-    n, p, a = header
+        u, v = _int_fields(fields, lineno, 2)
+        if u == v:
+            raise FormatError(f"line {lineno}: self-loop at {u}")
+        graphs[-1].add((u, v) if u < v else (v, u))
+
+    n, p, a = _read(text, "dcmc n p a", {"g": block, "e": edge})
     if len(graphs) != p:
         raise FormatError(f"header promises {p} color graphs, found {len(graphs)}")
-    try:
+    with _as_format_error():
         return DualCmcInstance(n, tuple(graphs), a)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
 
 
 def write_dcmc(d: DualCmcInstance) -> str:
@@ -239,34 +235,28 @@ def parse_psi(text: str) -> PsiInstance:
     """`psi <h> <n>` header, then `pe <x> <y>` pattern edges, `block <x>
     <v...>` block contents (one per pattern vertex), and `he <u> <v>` host
     edges, in any order after the header."""
-    header = None
     pattern_edges = set()
     blocks: dict[int, tuple[int, ...]] = {}
     host_edges = set()
-    for lineno, fields in _records(text):
-        if header is None:
-            if fields[0] != "psi" or len(fields) != 3:
-                raise FormatError(f"line {lineno}: expected 'psi h n' header")
-            header = _int_fields(fields[1:], lineno)
-        elif fields[0] == "pe":
-            x, y = _int_fields(fields[1:], lineno, 2)
-            pattern_edges.add((x, y) if x < y else (y, x))
-        elif fields[0] == "block":
-            (x,) = _int_fields(fields[1:2], lineno, 1)
-            if x in blocks:
-                raise FormatError(f"line {lineno}: block {x} given twice")
-            blocks[x] = tuple(sorted(_int_fields(fields[2:], lineno)))
-        elif fields[0] == "he":
-            u, v = _int_fields(fields[1:], lineno, 2)
-            host_edges.add((u, v) if u < v else (v, u))
-        else:
-            raise FormatError(f"line {lineno}: unexpected record {fields[0]!r}")
-    if header is None:
-        raise FormatError("missing 'psi' header")
-    h, n = header
+
+    def pattern_edge(fields, lineno):
+        x, y = _int_fields(fields, lineno, 2)
+        pattern_edges.add((x, y) if x < y else (y, x))
+
+    def block(fields, lineno):
+        (x,) = _int_fields(fields[:1], lineno, 1)
+        if x in blocks:
+            raise FormatError(f"line {lineno}: block {x} given twice")
+        blocks[x] = tuple(sorted(_int_fields(fields[1:], lineno)))
+
+    def host_edge(fields, lineno):
+        u, v = _int_fields(fields, lineno, 2)
+        host_edges.add((u, v) if u < v else (v, u))
+
+    h, n = _read(text, "psi h n", {"pe": pattern_edge, "block": block, "he": host_edge})
     if len(blocks) != h or sorted(blocks) != list(range(h)):
         raise FormatError("need exactly one block per pattern vertex 0..h-1")
-    try:
+    with _as_format_error():
         return PsiInstance(
             h,
             tuple(sorted(pattern_edges)),
@@ -274,8 +264,6 @@ def parse_psi(text: str) -> PsiInstance:
             tuple(blocks[x] for x in range(h)),
             frozenset(host_edges),
         )
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
 
 
 def write_psi(inst: PsiInstance) -> str:
@@ -344,26 +332,13 @@ def write_cnf(f: CnfFormula) -> str:
 
 def parse_graph(text: str) -> Graph:
     """`graph <n> <m>` header plus `e <u> <v>` lines."""
-    header = None
     edges = []
-    for lineno, fields in _records(text):
-        if header is None:
-            if fields[0] != "graph" or len(fields) != 3:
-                raise FormatError(f"line {lineno}: expected 'graph n m' header")
-            header = _int_fields(fields[1:], lineno)
-        elif fields[0] == "e":
-            edges.append(tuple(_int_fields(fields[1:], lineno, 2)))
-        else:
-            raise FormatError(f"line {lineno}: unexpected record {fields[0]!r}")
-    if header is None:
-        raise FormatError("missing 'graph' header")
-    n, m = header
+    records = {"e": lambda fields, lineno: edges.append(tuple(_int_fields(fields, lineno, 2)))}
+    n, m = _read(text, "graph n m", records)
     if len(edges) != m:
         raise FormatError(f"header promises {m} edges, found {len(edges)}")
-    try:
+    with _as_format_error():
         return Graph.make(n, edges)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
 
 
 def write_graph(g: Graph) -> str:
@@ -390,41 +365,33 @@ def parse_csp(text: str) -> BinaryCsp:
     Values are opaque tokens; parsing a written CSP yields a decision-
     equivalent instance whose values are the token strings.
     """
-    n_vars = None
     domains: dict[int, tuple[str, ...]] = {}
     constraints: list[tuple[int, int, list[tuple[str, str]]]] = []
-    for lineno, fields in _records(text):
-        if n_vars is None:
-            if fields[0] != "csp" or len(fields) != 2:
-                raise FormatError(f"line {lineno}: expected 'csp nvars' header")
-            (n_vars,) = _int_fields(fields[1:], lineno)
-        elif fields[0] == "dom":
-            (i,) = _int_fields(fields[1:2], lineno, 1)
-            if i in domains:
-                raise FormatError(f"line {lineno}: domain {i} given twice")
-            domains[i] = tuple(fields[2:])
-        elif fields[0] == "con":
-            i, j = _int_fields(fields[1:3], lineno, 2)
-            pairs = []
-            for pair in fields[3:]:
-                parts = pair.split("|")
-                if len(parts) != 2:
-                    raise FormatError(f"line {lineno}: bad pair {pair!r}")
-                pairs.append((parts[0], parts[1]))
-            constraints.append((i, j, pairs))
-        else:
-            raise FormatError(f"line {lineno}: unexpected record {fields[0]!r}")
-    if n_vars is None:
-        raise FormatError("missing 'csp' header")
+
+    def domain(fields, lineno):
+        (i,) = _int_fields(fields[:1], lineno, 1)
+        if i in domains:
+            raise FormatError(f"line {lineno}: domain {i} given twice")
+        domains[i] = tuple(fields[1:])
+
+    def constraint(fields, lineno):
+        i, j = _int_fields(fields[:2], lineno, 2)
+        pairs = []
+        for pair in fields[2:]:
+            parts = pair.split("|")
+            if len(parts) != 2:
+                raise FormatError(f"line {lineno}: bad pair {pair!r}")
+            pairs.append((parts[0], parts[1]))
+        constraints.append((i, j, pairs))
+
+    (n_vars,) = _read(text, "csp nvars", {"dom": domain, "con": constraint})
     if len(domains) != n_vars or sorted(domains) != list(range(n_vars)):
         raise FormatError("need one 'dom' line per variable 0..nvars-1")
     csp = BinaryCsp([domains[i] for i in range(n_vars)])
-    try:
+    with _as_format_error():
         for i, j, pairs in constraints:
             csp.constrain(i, j, pairs)
         csp.validate()
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
     return csp
 
 
@@ -462,37 +429,30 @@ def write_embedding(emb) -> str:
 def parse_embedding(text: str):
     from .embedding import Embedding
 
-    header = None
     host_edges = []
     branch: dict[int, frozenset[int]] = {}
     zeta: dict[int, int] = {}
-    for lineno, fields in _records(text):
-        if header is None:
-            if fields[0] != "embed" or len(fields) != 5:
-                raise FormatError(f"line {lineno}: expected 'embed n m branches ell' header")
-            header = _int_fields(fields[1:], lineno)
-        elif fields[0] == "host":
-            host_edges.append(tuple(_int_fields(fields[1:], lineno, 2)))
-        elif fields[0] == "branch":
-            (v,) = _int_fields(fields[1:2], lineno, 1)
-            if v in branch:
-                raise FormatError(f"line {lineno}: branch {v} given twice")
-            branch[v] = frozenset(_int_fields(fields[2:], lineno))
-        elif fields[0] == "zeta":
-            v, w = _int_fields(fields[1:], lineno, 2)
-            zeta[v] = w
-        else:
-            raise FormatError(f"line {lineno}: unexpected record {fields[0]!r}")
-    if header is None:
-        raise FormatError("missing 'embed' header")
-    n, m, branch_count, ell = header
+
+    def branch_set(fields, lineno):
+        (v,) = _int_fields(fields[:1], lineno, 1)
+        if v in branch:
+            raise FormatError(f"line {lineno}: branch {v} given twice")
+        branch[v] = frozenset(_int_fields(fields[1:], lineno))
+
+    def bucket(fields, lineno):
+        v, w = _int_fields(fields, lineno, 2)
+        zeta[v] = w
+
+    records = {
+        "host": lambda fields, lineno: host_edges.append(tuple(_int_fields(fields, lineno, 2))),
+        "branch": branch_set,
+        "zeta": bucket,
+    }
+    n, m, branch_count, ell = _read(text, "embed n m branches ell", records)
     if len(host_edges) != m or len(branch) != branch_count:
         raise FormatError("header counts do not match the records")
-    try:
-        host = Graph.make(n, host_edges)
-        return Embedding(host, branch, zeta, ell)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    with _as_format_error():
+        return Embedding(Graph.make(n, host_edges), branch, zeta, ell)
 
 
 def write_gadget_map(color_map) -> str:
@@ -504,23 +464,16 @@ def write_gadget_map(color_map) -> str:
 
 
 def parse_gadget_map(text: str) -> tuple[tuple[int, int, int], ...]:
-    header = None
     rows: list[tuple[int, int, int]] = []
-    for lineno, fields in _records(text):
-        if header is None:
-            if fields[0] != "gadgetmap" or len(fields) != 2:
-                raise FormatError(f"line {lineno}: expected 'gadgetmap p' header")
-            header = _int_fields(fields[1:], lineno)
-        elif fields[0] == "color":
-            i, alpha, vx, vy = _int_fields(fields[1:], lineno, 4)
-            if i != len(rows) + 1:
-                raise FormatError(f"line {lineno}: colors must appear in order")
-            rows.append((alpha, vx, vy))
-        else:
-            raise FormatError(f"line {lineno}: unexpected record {fields[0]!r}")
-    if header is None:
-        raise FormatError("missing 'gadgetmap' header")
-    if len(rows) != header[0]:
+
+    def color(fields, lineno):
+        i, alpha, vx, vy = _int_fields(fields, lineno, 4)
+        if i != len(rows) + 1:
+            raise FormatError(f"line {lineno}: colors must appear in order")
+        rows.append((alpha, vx, vy))
+
+    (p,) = _read(text, "gadgetmap p", {"color": color})
+    if len(rows) != p:
         raise FormatError("header promises a different color count")
     return tuple(rows)
 

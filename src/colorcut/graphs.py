@@ -1,8 +1,9 @@
 """Shared undirected-graph primitives.
 
-Canonical simple graphs, union-find, connectivity helpers (including a
-numpy hook-and-compress component labelling of edge arrays), and the random
-graph generators used by the verification suites.
+Canonical simple graphs, connectivity, and the random graph generators
+used by the verification suites. Every connectivity question (a whole
+graph, a vertex subset, a union of color graphs) is answered by one numpy
+hook-and-compress component labelling of edge arrays, component_labels.
 """
 
 from __future__ import annotations
@@ -11,35 +12,6 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class UnionFind:
-    """Array-backed disjoint sets with path compression."""
-
-    __slots__ = ("parent", "components")
-
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-        self.components = size
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if rx > ry:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.components -= 1
-        return True
 
 
 @dataclass(frozen=True)
@@ -88,23 +60,6 @@ class Graph:
         return is_connected(self.vertex_count, self.edges)
 
 
-def is_connected(vertex_count: int, edges) -> bool:
-    """True iff the graph has a single component covering every vertex.
-
-    Graphs with at most one vertex count as connected.
-    """
-    if vertex_count <= 1:
-        return True
-    uf = UnionFind(vertex_count)
-    remaining = vertex_count - 1
-    for u, v in edges:
-        if uf.union(u, v):
-            remaining -= 1
-            if remaining == 0:
-                return True
-    return False
-
-
 def component_labels(vertex_count: int, edges: np.ndarray) -> tuple[int, np.ndarray]:
     """Component count and per-vertex component labels of the graph on
     vertex_count vertices whose edges are the rows of an (m, 2) int array.
@@ -135,24 +90,27 @@ def component_labels(vertex_count: int, edges: np.ndarray) -> tuple[int, np.ndar
     return int(np.count_nonzero(labels == np.arange(vertex_count))), labels
 
 
-def connected_in_subset(graph: Graph, subset) -> bool:
-    """True iff `subset` induces a connected subgraph of `graph`."""
-    sub = set(subset)
-    if not sub:
-        return False
-    if len(sub) == 1:
+def is_connected(vertex_count: int, edges) -> bool:
+    """True iff the graph has a single component covering every vertex.
+
+    Graphs with at most one vertex count as connected."""
+    if vertex_count <= 1:
         return True
-    adj = graph.adjacency()
-    start = next(iter(sub))
-    seen = {start}
-    stack = [start]
-    while stack:
-        w = stack.pop()
-        for x in adj[w]:
-            if x in sub and x not in seen:
-                seen.add(x)
-                stack.append(x)
-    return seen == sub
+    rows = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return component_labels(vertex_count, rows)[0] == 1
+
+
+def connected_in_subset(graph: Graph, subset) -> bool:
+    """True iff `subset` is nonempty and induces a connected subgraph of
+    `graph`. The induced edges are relabelled to positions in the sorted
+    subset, so the cost does not grow with graph.vertex_count."""
+    ids = np.array(sorted(set(subset)), dtype=np.int64)
+    if ids.size <= 1:
+        return ids.size == 1
+    edges = np.asarray(graph.edges, dtype=np.int64).reshape(-1, 2)
+    at = np.searchsorted(ids, edges).clip(max=ids.size - 1)
+    inside = (ids[at] == edges).all(axis=1)
+    return component_labels(ids.size, at[inside])[0] == 1
 
 
 def random_max_degree3_graph(n: int, m: int, rng: random.Random) -> Graph:

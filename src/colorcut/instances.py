@@ -17,7 +17,7 @@ from typing import Hashable, NamedTuple
 
 import numpy as np
 
-from .graphs import component_labels, is_connected
+from .graphs import component_labels
 
 DEFAULT_CMC_VERTEX_CAP = 24
 DEFAULT_COMBINATION_CAP = 10**6
@@ -492,7 +492,6 @@ __all__ = [
     "PsiInstance",
     "cmc_to_dual",
     "dual_to_cmc",
-    "is_connected",
     "psi_selection_ok",
     "solve_cmc_bruteforce",
     "solve_csp_bruteforce",

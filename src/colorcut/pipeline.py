@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from .config import RunConfig
-from .embedding import Embedding, embed_with_retry
+from .embedding import Embedding, InvalidEmbedding, check_branch_sets, embed_with_retry
 from .gadgets import PsiReduction, reduce_psi_to_dcmc
-from .graphs import Graph, connected_in_subset, is_connected
+from .graphs import Graph, is_connected
 from .instances import (
     DEFAULT_ASSIGNMENT_CAP,
     DEFAULT_GRAPH_VERTEX_CAP,
@@ -30,10 +30,6 @@ from .instances import (
 
 class MalformedClause(ValueError):
     """A clause is empty, too wide, or repeats a variable."""
-
-
-class InvalidEmbedding(ValueError):
-    """The provided embedding does not cover the CSP's constraint graph."""
 
 
 class _UniversalValue:
@@ -126,26 +122,16 @@ def route_csp(
     variable to agree, (3) host edges between two branch sets enforce the
     base constraint on the pair. Relations are finally projected onto the
     restricted domains. A host with more than DEFAULT_GRAPH_VERTEX_CAP
-    vertices raises CapExceeded before anything is built per vertex.
+    vertices raises CapExceeded before anything is built per vertex, and
+    branch sets that do not embed the constraint graph raise
+    InvalidEmbedding (embedding.check_branch_sets).
     """
     if host.vertex_count > DEFAULT_GRAPH_VERTEX_CAP:
         raise CapExceeded(
             f"host has {host.vertex_count} vertices (cap {DEFAULT_GRAPH_VERTEX_CAP})"
         )
     n_vars = base.variable_count
-    for v in range(n_vars):
-        bs = branch_sets.get(v)
-        if not bs:
-            raise InvalidEmbedding(f"variable {v} has no branch set")
-        if any(not 0 <= w < host.vertex_count for w in bs):
-            raise InvalidEmbedding(f"branch set of {v} leaves the host")
-        if not connected_in_subset(host, bs):
-            raise InvalidEmbedding(f"branch set of {v} is not connected")
-    adj = host.adjacency()
-    for u, v in base.constraints:
-        bu, bv = branch_sets[u], branch_sets[v]
-        if not (bu & bv) and not any((w in bv) for x in bu for w in adj[x]):
-            raise InvalidEmbedding(f"constraint ({u}, {v}) does not touch in the host")
+    check_branch_sets(host, branch_sets, n_vars, base.constraints)
 
     members = tuple(
         tuple(sorted(v for v in range(n_vars) if w in branch_sets[v]))

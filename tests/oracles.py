@@ -1,11 +1,14 @@
 """Second opinions: independently written solvers for cross-checking.
 
 Deliberately different algorithms from the package: subset combinations
-instead of vectorized masks, BFS and union-find instead of numpy
-hook-and-compress component labelling, backtracking instead of product
-scans, DPLL instead of assignment enumeration, one LP commodity per vertex
-pair instead of per source, gadget edges placed digit by digit instead of
-broadcast from one star. Any disagreement points at a bug on one of the two sides.
+instead of vectorized masks, BFS and union-find instead of the numpy
+hook-and-compress component labelling that answers every connectivity
+question in the package, backtracking instead of product scans, DPLL
+instead of assignment enumeration, one LP commodity per vertex pair instead
+of per source, gadget edges placed digit by digit instead of broadcast from
+one star. Any disagreement points at a bug on one of the two sides.
+UnionFind lives only here, as the reference that graphs.component_labels,
+is_connected and connected_in_subset are tested against.
 
 Also here: checks and generators only tests need (exact separation
 sparsity, gadget vertex decoding, uniform random simple graphs, maximum
@@ -22,10 +25,39 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from colorcut.gadgets import HUB
-from colorcut.graphs import Graph, UnionFind
+from colorcut.graphs import Graph
 from colorcut.instances import DEFAULT_COMBINATION_CAP, Answer, CapExceeded
 
 SPARSITY_VERTEX_CAP = 12
+
+
+class UnionFind:
+    """Array-backed disjoint sets with path compression."""
+
+    __slots__ = ("parent", "components")
+
+    def __init__(self, size: int) -> None:
+        self.parent = list(range(size))
+        self.components = size
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        root = x
+        while p[root] != root:
+            root = p[root]
+        while p[x] != root:
+            p[x], x = root, p[x]
+        return root
+
+    def union(self, x: int, y: int) -> bool:
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        if rx > ry:
+            rx, ry = ry, rx
+        self.parent[ry] = rx
+        self.components -= 1
+        return True
 
 
 def bfs_component_count(vertex_count, edges):

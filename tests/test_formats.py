@@ -248,6 +248,41 @@ def test_gadget_map_round_trip():
         parse_gadget_map("gadgetmap 1\ncolor 2 1 0 1\n")  # out of order
 
 
+# parser, a valid header line, the header template its messages name
+READERS = [
+    (parse_cmc, "cmc 3 3 2 1", "cmc n m p k"),
+    (parse_dcmc, "dcmc 3 2 1", "dcmc n p a"),
+    (parse_psi, "psi 2 2", "psi h n"),
+    (parse_graph, "graph 4 3", "graph n m"),
+    (parse_csp, "csp 2", "csp nvars"),
+    (parse_embedding, "embed 1 0 1 1", "embed n m branches ell"),
+    (parse_gadget_map, "gadgetmap 2", "gadgetmap p"),
+]
+
+
+@pytest.mark.parametrize("parse, header, template", READERS, ids=[r[0].__name__ for r in READERS])
+def test_reader_errors(parse, header, template):
+    keyword = template.split()[0]
+    cases = [
+        (f"# comment\n\n{header} 7\n", f"line 3: expected '{template}' header"),
+        (f"e 0 1\n{header}\n", f"line 1: expected '{template}' header"),
+        (f"{header}\nbogus 1 2\n", "line 2: unexpected record 'bogus'"),
+        (f"{header}\n{header}\n", f"line 2: unexpected record '{keyword}'"),
+        ("  # nothing here\n\n", f"missing '{keyword}' header"),
+        ("", f"missing '{keyword}' header"),
+    ]
+    for text, message in cases:
+        with pytest.raises(FormatError) as info:
+            parse(text)
+        assert str(info.value) == message, text
+
+
+def test_cmc_edge_field_count():
+    with pytest.raises(FormatError) as info:
+        parse_cmc("cmc 2 1 1 1\ne 0 1\n")
+    assert str(info.value) == "line 2: expected 3 integer fields, got ['0', '1']"
+
+
 def test_render_report():
     assert render_report([("a", 1), ("b", "x")]) == "a=1\nb=x\n"
 

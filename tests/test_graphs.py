@@ -10,10 +10,15 @@ import pytest
 import numpy as np
 
 import colorcut
-from oracles import component_count, max_degree, random_simple_graph
+from oracles import (
+    UnionFind,
+    bfs_component_count,
+    component_count,
+    max_degree,
+    random_simple_graph,
+)
 from colorcut.graphs import (
     Graph,
-    UnionFind,
     component_labels,
     connected_in_subset,
     is_connected,
@@ -162,6 +167,44 @@ def test_connected_in_subset():
     assert not connected_in_subset(g, {0, 3})
     assert connected_in_subset(g, {2})
     assert not connected_in_subset(g, set())
+
+
+def test_is_connected_matches_oracles():
+    rng = random.Random(11)
+    cases = [(0, []), (1, []), (2, []), (5, [])]
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        m = rng.randint(0, min(n * (n - 1) // 2, 2 * n))
+        cases.append((n, list(random_simple_graph(n, m, rng).edges)))
+    for n, edges in cases:
+        expected = n <= 1 or bfs_component_count(n, edges) == 1
+        assert expected == (n <= 1 or component_count(n, edges) == 1)
+        for given in (edges, tuple(edges), [list(e) for e in edges]):
+            assert is_connected(n, given) == expected, (n, edges)
+        assert Graph.make(n, edges).is_connected() == expected
+
+
+def _induced_components(graph, subset):
+    """Component counts of the subgraph `subset` induces, by BFS and by
+    union-find, on the subset's positions in sorted order."""
+    index = {w: i for i, w in enumerate(sorted(set(subset)))}
+    induced = [(index[u], index[v]) for u, v in graph.edges if u in index and v in index]
+    return bfs_component_count(len(index), induced), component_count(len(index), induced)
+
+
+def test_connected_in_subset_matches_oracles():
+    rng = random.Random(12)
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        graph = random_simple_graph(n, rng.randint(0, min(n * (n - 1) // 2, 2 * n)), rng)
+        touched = {w for e in graph.edges for w in e}
+        subsets = [set(), {rng.randrange(n)}, set(range(n)) - touched, set(range(n))]
+        subsets += [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(6)]
+        for subset in subsets:
+            bfs, uf = _induced_components(graph, subset)
+            assert bfs == uf
+            for given in (subset, frozenset(subset), sorted(subset, reverse=True)):
+                assert connected_in_subset(graph, given) == (bfs == 1), (graph, subset)
 
 
 def test_union_find_tracks_components():

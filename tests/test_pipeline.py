@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles
-from colorcut.embedding import embed
+from colorcut.embedding import Embedding, embed, validate_embedding
 from colorcut.formats import write_dcmc
 from colorcut.gadgets import reduce_psi_to_dcmc
 from colorcut.graphs import Graph
@@ -129,6 +129,30 @@ def test_route_rejects_bad_embeddings():
         route_csp(base, {0: frozenset({0, 2}), 1: frozenset({1})}, host)
     with pytest.raises(InvalidEmbedding, match="does not touch"):
         route_csp(base, {0: frozenset({0}), 1: frozenset({2})}, host)
+
+
+# (branch sets of the edge 0-1 on the host path 0-1-2-3, message)
+CORRUPT_BRANCH_SETS = [
+    ({0: {0}}, "no branch set for vertex 1"),
+    ({0: {0}, 1: set()}, "empty branch set for vertex 1"),
+    ({0: {0}, 1: {9}}, "branch set of 1 leaves the host"),
+    ({0: {0, 2}, 1: {1}}, "branch set of 0 is not connected in the host"),
+    ({0: {0}, 1: {2}}, "edge (0, 1) does not touch in the host"),
+]
+
+
+@pytest.mark.parametrize("branch, message", CORRUPT_BRANCH_SETS)
+def test_route_and_validate_share_branch_set_checks(branch, message):
+    host = Graph.make(4, [(0, 1), (1, 2), (2, 3)])
+    branch = {v: frozenset(ws) for v, ws in branch.items()}
+    base = BinaryCsp([(0, 1), (0, 1)])
+    base.constrain(0, 1, [(0, 1), (1, 0)])
+    with pytest.raises(InvalidEmbedding) as routed:
+        route_csp(base, branch, host)
+    emb = Embedding(host, branch, {0: 0, 1: 1, 2: 2, 3: 3}, 4)
+    with pytest.raises(InvalidEmbedding) as validated:
+        validate_embedding(emb, Graph.make(2, [(0, 1)]))
+    assert str(routed.value) == str(validated.value) == message
 
 
 def test_route_domain_cap():
