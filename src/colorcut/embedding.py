@@ -29,7 +29,7 @@ from .config import (
     RunConfig,
 )
 from .flows import ConcurrentFlow, min_congestion_flow
-from .graphs import Graph, connected_in_subset
+from .graphs import Graph, connected_in_subsets
 from .instances import DEFAULT_GRAPH_VERTEX_CAP, CapExceeded
 
 
@@ -409,17 +409,26 @@ def check_branch_sets(host: Graph, branch_sets, vertex_count: int, edges) -> Non
     """Raise InvalidEmbedding unless every vertex 0..vertex_count-1 has a
     nonempty branch set inside the host that induces a connected subgraph,
     and the branch sets of the two ends of every edge share a host vertex
-    or are joined by a host edge."""
+    or are joined by a host edge. The message names the first vertex that
+    fails, and for it the first of these conditions."""
+    complaint, placed = None, vertex_count
     for v in range(vertex_count):
         bs = branch_sets.get(v)
         if bs is None:
-            raise InvalidEmbedding(f"no branch set for vertex {v}")
-        if not bs:
-            raise InvalidEmbedding(f"empty branch set for vertex {v}")
-        if any(not 0 <= w < host.vertex_count for w in bs):
-            raise InvalidEmbedding(f"branch set of {v} leaves the host")
-        if not connected_in_subset(host, bs):
-            raise InvalidEmbedding(f"branch set of {v} is not connected in the host")
+            complaint = f"no branch set for vertex {v}"
+        elif not bs:
+            complaint = f"empty branch set for vertex {v}"
+        elif any(not 0 <= w < host.vertex_count for w in bs):
+            complaint = f"branch set of {v} leaves the host"
+        if complaint is not None:
+            placed = v
+            break
+    # the branch sets of vertices 0..placed-1 are nonempty and in the host
+    connected = connected_in_subsets(host, [branch_sets[v] for v in range(placed)])
+    if not connected.all():
+        complaint = f"branch set of {int(np.argmin(connected))} is not connected in the host"
+    if complaint is not None:
+        raise InvalidEmbedding(complaint)
     adj = host.adjacency()
     for u, v in edges:
         bu, bv = branch_sets[u], branch_sets[v]

@@ -218,12 +218,62 @@ def _parse_dcmc_lines(text: str) -> DualCmcInstance:
         return DualCmcInstance(n, tuple(graphs), a)
 
 
+# rows write_dcmc renders per numpy pass; bounds its scratch arrays
+_WRITE_CHUNK_ROWS = 8192
+
+
 def write_dcmc(d: DualCmcInstance) -> str:
+    """The `e u v` lines are rendered from d.edges with numpy, a chunk of
+    rows at a time, and each `g i` header is spliced in where block i
+    starts."""
     parts = [f"dcmc {d.vertex_count} {d.p} {d.a}\n"]
-    for i, es in enumerate(d.color_graphs, 1):
-        parts.append(f"g {i}\n")
-        parts.append(("e %d %d\n" * len(es)) % tuple(es.ravel().tolist()))
+    starts = d.offsets[:-1].tolist()
+    block = 0
+    for lo in range(0, len(d.edges), _WRITE_CHUNK_ROWS):
+        text, row_at = _edge_lines(d.edges[lo : lo + _WRITE_CHUNK_ROWS])
+        hi = lo + len(row_at) - 1
+        cut = 0
+        while block < d.p and starts[block] < hi:
+            at = int(row_at[starts[block] - lo])
+            parts.append(text[cut:at])
+            block += 1
+            parts.append(f"g {block}\n")
+            cut = at
+        parts.append(text[cut:])
+    parts.extend(f"g {i}\n" for i in range(block + 1, d.p + 1))
     return "".join(parts)
+
+
+def _edge_lines(edges: np.ndarray) -> tuple[str, np.ndarray]:
+    """The lines `e u v` of an (m, 2) array of nonnegative values, and the
+    offset of each line in them followed by their total length."""
+    values = edges.ravel()
+    top = int(values.max(initial=0))
+    digits = np.ones(len(values), dtype=np.int64)
+    for power in _POWERS_OF_TEN[_POWERS_OF_TEN <= top]:
+        digits += values >= power
+    du, dv = digits[0::2], digits[1::2]
+    row_at = np.zeros(len(edges) + 1, dtype=np.int64)
+    np.cumsum(du + dv + 4, out=row_at[1:])  # "e u v\n" is du + dv + 4 bytes long
+    buf = np.empty(row_at[-1], dtype=np.uint8)
+    starts, ends = row_at[:-1], row_at[1:]
+    buf[starts] = _E
+    buf[starts + 1] = _SPACE
+    buf[starts + 2 + du] = _SPACE
+    buf[ends - 1] = _NEWLINE
+    # each value's digits are written from its last byte back, values % 10
+    # at a time, until its quotient is 0; 32-bit division is faster
+    last = np.empty(len(values), dtype=np.int64)
+    last[0::2] = starts + 1 + du
+    last[1::2] = ends - 2
+    if top < 2**32:
+        values = values.astype(np.uint32)
+    while len(values):
+        quotient = values // 10
+        buf[last] = (values - quotient * 10 + _ZERO).astype(np.uint8)
+        more = quotient > 0
+        values, last = quotient[more], last[more] - 1
+    return buf.tobytes().decode("ascii"), row_at
 
 
 # ---------------------------------------------------------------------------

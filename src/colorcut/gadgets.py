@@ -21,9 +21,12 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import is_connected
-from .instances import DualCmcInstance, PsiInstance
+from .instances import CapExceeded, DualCmcInstance, PsiInstance
 
 HUB = 0
+# rows (before repeats are dropped) that the color graphs of one reduction
+# may hold together: 4x the largest dual the test and benchmark suites build
+DEFAULT_DUAL_ROW_CAP = 2 * 10**6
 
 
 class PatternDisconnected(Exception):
@@ -157,26 +160,30 @@ class GadgetParams:
             offsets = (np.arange(self.rho, dtype=np.int64)[:, None] * weight + offsets).ravel()
         return self.block_starts[:, None] + offsets
 
+    @cached_property
+    def anchors(self) -> np.ndarray:
+        """Row alpha - 1 holds the padding anchors of pattern edge alpha: in
+        every block, each setting of the coordinates other than alpha, with
+        alpha's digit at (0, 0)."""
+        return np.array(
+            [
+                (self.block_starts[:, None] + _free_offsets(self, alpha)).ravel()
+                for alpha in range(1, self.a + 1)
+            ]
+        )
+
+    @property
+    def rows_per_color(self) -> int:
+        """Rows of one color graph before repeats are dropped: the selection
+        edge, 2 rho^a - 2 hub edges to hats, and per anchor one hub edge and
+        a star of rho * b edges."""
+        anchors = self.h * self.base ** (self.a - 1)
+        return 1 + 2 * self.rho**self.a - 2 + anchors * (1 + self.rho * self.b)
+
     def g_vector(self, alpha: int, v_x: int, v_y: int) -> tuple[int, ...]:
         """Combined field vector (length b) of a selected host edge."""
         x, y = self.edge_order[alpha - 1]
         return self.f_maps[x][v_x] + self.f_maps[y][v_y]
-
-
-def build_a_edges(alpha: int, v_x: int, v_y: int, params: GadgetParams) -> np.ndarray:
-    """Selection edge between the two encoded endpoints plus hub edges to
-    every other all-tier-zero vertex of the two touched blocks, as (m, 2)
-    rows with u < v."""
-    x, y = params.edge_order[alpha - 1]
-    ex = params.hat_vertex(x, v_x)
-    ey = params.hat_vertex(y, v_y)
-    hats = params.hat_blocks[[x, y]].ravel()
-    hats = hats[(hats != ex) & (hats != ey)]
-    edges = np.empty((len(hats) + 1, 2), dtype=np.int64)
-    edges[0] = min(ex, ey), max(ex, ey)
-    edges[1:, 0] = HUB
-    edges[1:, 1] = hats
-    return edges
 
 
 def _free_offsets(params: GadgetParams, alpha: int) -> np.ndarray:
@@ -189,51 +196,78 @@ def _free_offsets(params: GadgetParams, alpha: int) -> np.ndarray:
     return offsets
 
 
-def build_padding(alpha: int, v_x: int, v_y: int, params: GadgetParams) -> np.ndarray:
-    """Arithmetic padding in every block for one selected host edge, as
-    (m, 2) rows with u < v.
+def build_gadgets(colors, params: GadgetParams) -> tuple[np.ndarray, np.ndarray]:
+    """The color graphs of the host edges colors[i] = (alpha, v_x, v_y), all
+    at once: (edges, offsets), where color i's rows are edges[offsets[i]:
+    offsets[i + 1]], sorted, without repeats and with u < v.
 
-    For every setting of the non-alpha coordinates (an anchor): a hub edge
-    at the alpha-digit (0, 0), and for each residue r a star from center
-    (r, 0) to ((r + g_i) mod rho, i) for every position i of the combined
-    vector. The star is built once as offsets from the anchor, then
-    broadcast over the h * base^(a-1) anchors.
+    Each color graph is the union of
+    - the selection edge between the encoded endpoints e_x and e_y;
+    - hub edges to every other all-tier-zero vertex of blocks x and y;
+    - arithmetic padding: for every setting of the non-alpha coordinates
+      (an anchor), a hub edge at the alpha-digit (0, 0), and for each
+      residue r a star from center (r, 0) to ((r + g_i) mod rho, i) for
+      every position i of the combined vector g of the selected endpoints.
+
+    Every color has params.rows_per_color rows before repeats are dropped,
+    so the keys u * N + v of all colors form one (colors, rows) array that
+    is sorted row by row. Raises CapExceeded when the colors hold more than
+    DEFAULT_DUAL_ROW_CAP rows in all, before anything is allocated.
     """
-    g = np.array(params.g_vector(alpha, v_x, v_y), dtype=np.int64)
-    tier_weight = params.base ** (alpha - 1)
-    residue_weight = (params.b + 1) * tier_weight
-    r = np.arange(params.rho, dtype=np.int64)[:, None]
-    center = r * residue_weight
-    leaf = (r + g) % params.rho * residue_weight + np.arange(1, len(g) + 1) * tier_weight
-    lo = np.minimum(center, leaf).ravel()
-    hi = np.maximum(center, leaf).ravel()
-    anchors = (params.block_starts[:, None] + _free_offsets(params, alpha)).ravel()
-    k = len(anchors)
-    edges = np.empty((k * (1 + len(lo)), 2), dtype=np.int64)
-    edges[:k, 0] = HUB
-    edges[:k, 1] = anchors
-    edges[k:, 0] = (anchors[:, None] + lo).ravel()
-    edges[k:, 1] = (anchors[:, None] + hi).ravel()
-    return edges
-
-
-def build_gadget(alpha: int, v_x: int, v_y: int, params: GadgetParams) -> np.ndarray:
-    """The color graph of host edge (v_x, v_y) on pattern edge alpha: its
-    edges sorted and without repeats, as (m, 2) int64 rows with u < v."""
-    edges = np.concatenate(
-        [build_a_edges(alpha, v_x, v_y, params), build_padding(alpha, v_x, v_y, params)]
+    p = len(colors)
+    rows = p * params.rows_per_color
+    if rows > DEFAULT_DUAL_ROW_CAP:
+        raise CapExceeded(f"{rows} gadget rows exceed the dual cap {DEFAULT_DUAL_ROW_CAP}")
+    if p == 0:
+        return np.empty((0, 2), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    # N = 1 + anchors * rho * (b + 1) < 2 * rows_per_color <= 2 * rows, so
+    # under the cap every key u * N + v fits in int64
+    n, rho, a, b = params.vertex_count, params.rho, params.a, params.b
+    # one row per color: alpha, its pattern edge (x, y), the combined field
+    # vector g
+    table = np.array(
+        [(c[0], *params.edge_order[c[0] - 1], *params.g_vector(*c)) for c in colors],
+        dtype=np.int64,
     )
-    # one sort over the keys u * N + v orders the rows lexicographically;
-    # N^2 fits in int64, since a gadget has about N edges held in memory
-    n = params.vertex_count
-    keys = np.sort(edges[:, 0] * n + edges[:, 1])
-    first = np.empty(len(keys), dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    alpha, g = table[:, 0], table[:, 3:]
+
+    # the selection edge and the hub edges to the other hats of blocks x, y
+    hats = params.hat_blocks[table[:, 1:3]]  # (p, 2, rho^a)
+    # an endpoint's image is its block's all-zero hat plus its residues
+    # placed at tier 0
+    ends = hats[:, :, 0] + g.reshape(p, 2, a) @ ((b + 1) * params.base ** np.arange(a))
+    hubs = hats[hats != ends[:, :, None]].reshape(p, -1)
+
+    # the padding stars as (lo, hi) offsets from their anchor
+    tier_weight = (params.base ** (alpha - 1))[:, None, None]
+    residue_weight = (b + 1) * tier_weight
+    r = np.arange(rho)[:, None]
+    center = r * residue_weight
+    leaf = (r + g[:, None, :]) % rho * residue_weight + np.arange(1, b + 1) * tier_weight
+    star = np.minimum(center, leaf) * n + np.maximum(center, leaf)
+    anchors = params.anchors[alpha - 1]  # (p, k)
+
+    k, m = anchors.shape[1], hubs.shape[1]
+    keys = np.empty((p, params.rows_per_color), dtype=np.int64)
+    keys[:, 0] = ends[:, 0] * n + ends[:, 1]  # block x precedes block y
+    keys[:, 1 : 1 + m] = hubs  # a hub edge (0, w) has key w
+    keys[:, 1 + m : 1 + m + k] = anchors
+    # an anchored star edge (A + lo, A + hi) has key A * (n + 1) + lo * n + hi
+    np.add(
+        (anchors * (n + 1))[:, :, None],
+        star.reshape(p, 1, -1),
+        out=keys[:, 1 + m + k :].reshape(p, k, -1),
+    )
+    keys.sort(axis=1)
+    first = np.empty(keys.shape, dtype=bool)
+    first[:, 0] = True
+    np.not_equal(keys[:, 1:], keys[:, :-1], out=first[:, 1:])
+    offsets = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(first.sum(axis=1), out=offsets[1:])
     keys = keys[first]
-    out = np.empty((len(keys), 2), dtype=np.int64)
-    np.divmod(keys, n, out=(out[:, 0], out[:, 1]))
-    return out
+    edges = np.empty((len(keys), 2), dtype=np.int64)
+    np.divmod(keys, n, out=(edges[:, 0], edges[:, 1]))
+    return edges, offsets
 
 
 @dataclass(frozen=True)
@@ -252,6 +286,8 @@ def reduce_psi_to_dcmc(inst: PsiInstance) -> PsiReduction:
     The output vertex set has exactly 1 + h*(rho*(b+1))^a vertices and the
     number of color graphs equals the number of host edges. Requires a
     connected pattern with at least one edge (connectivize first otherwise).
+    Raises CapExceeded when the color graphs would hold more than
+    DEFAULT_DUAL_ROW_CAP rows (build_gadgets).
     """
     h = inst.pattern_vertex_count
     a = len(inst.pattern_edges)
@@ -278,7 +314,9 @@ def reduce_psi_to_dcmc(inst: PsiInstance) -> PsiReduction:
             x, v_x, v_y = bv, v, u
         colors.append((alpha_of[(x, max(bu, bv))], v_x, v_y))
     colors.sort()
-    graphs = tuple(build_gadget(al, vx, vy, params) for al, vx, vy in colors)
+    edges, offsets = build_gadgets(colors, params)
+    bounds = offsets.tolist()
+    graphs = tuple(edges[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
     dual = DualCmcInstance(params.vertex_count, graphs, a)
     return PsiReduction(dual, params, tuple(colors))
 
@@ -329,16 +367,15 @@ def decode_dual_witness(reduction: PsiReduction, witness) -> tuple[int, ...]:
 
 
 __all__ = [
+    "DEFAULT_DUAL_ROW_CAP",
     "HUB",
     "GadgetParams",
     "NoPrimeInRange",
     "PatternDisconnected",
     "PsiReduction",
     "WitnessDecodeError",
-    "build_a_edges",
     "build_f_maps",
-    "build_gadget",
-    "build_padding",
+    "build_gadgets",
     "choose_prime",
     "connectivize_pattern",
     "decode_dual_witness",

@@ -2,12 +2,14 @@
 
 Canonical simple graphs, connectivity, and the random graph generators
 used by the verification suites. Every connectivity question (a whole
-graph, a vertex subset, a union of color graphs) is answered by one numpy
-hook-and-compress component labelling of edge arrays, component_labels.
+graph, many vertex subsets at once, a union of color graphs) is answered
+by one numpy hook-and-compress component labelling of edge arrays,
+component_labels.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -100,17 +102,35 @@ def is_connected(vertex_count: int, edges) -> bool:
     return component_labels(vertex_count, rows)[0] == 1
 
 
-def connected_in_subset(graph: Graph, subset) -> bool:
-    """True iff `subset` is nonempty and induces a connected subgraph of
-    `graph`. The induced edges are relabelled to positions in the sorted
-    subset, so the cost does not grow with graph.vertex_count."""
-    ids = np.array(sorted(set(subset)), dtype=np.int64)
-    if ids.size <= 1:
-        return ids.size == 1
+def connected_in_subsets(graph: Graph, subsets) -> np.ndarray:
+    """For each subset of the graph's vertices, is it nonempty and does it
+    induce a connected subgraph? Every member must be a vertex.
+
+    One component labelling answers all of them. There is a node per
+    (subset, member) pair, numbered by subset and then by member, and an
+    edge between two nodes of one subset wherever the graph joins their
+    members. A subset is connected iff all its nodes carry the label of its
+    first node, the smallest of them."""
+    members = [sorted(set(s)) for s in subsets]
+    sizes = np.array([len(m) for m in members], dtype=np.int64)
+    owner = np.repeat(np.arange(len(members)), sizes)
+    member = np.fromiter(itertools.chain.from_iterable(members), dtype=np.int64, count=sizes.sum())
+    keys = owner * graph.vertex_count + member  # ascending: a node's number is its rank
+    # pair each node with every edge (u, v) where u is its member (a Graph
+    # keeps its edges sorted); the pair is an induced edge when v is in the
+    # subset too
     edges = np.asarray(graph.edges, dtype=np.int64).reshape(-1, 2)
-    at = np.searchsorted(ids, edges).clip(max=ids.size - 1)
-    inside = (ids[at] == edges).all(axis=1)
-    return component_labels(ids.size, at[inside])[0] == 1
+    lo = np.searchsorted(edges[:, 0], member)
+    count = np.searchsorted(edges[:, 0], member, side="right") - lo
+    node = np.repeat(np.arange(len(keys)), count)
+    edge = np.arange(len(node)) + np.repeat(lo - (np.cumsum(count) - count), count)
+    target = owner[node] * graph.vertex_count + edges[edge, 1]
+    at = np.searchsorted(keys, target).clip(max=len(keys) - 1)
+    inside = keys[at] == target
+    labels = component_labels(len(keys), np.stack([node[inside], at[inside]], axis=1))[1]
+    split = np.zeros(len(members), dtype=bool)
+    split[owner[labels != (np.cumsum(sizes) - sizes)[owner]]] = True
+    return (sizes > 0) & ~split
 
 
 def random_max_degree3_graph(n: int, m: int, rng: random.Random) -> Graph:

@@ -152,9 +152,8 @@ def solve_cmc_bruteforce(g: ColoredMultigraph, cap: int = DEFAULT_CMC_VERTEX_CAP
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _edge_array(es) -> np.ndarray:
-    """A color graph's edges as a sorted, duplicate-free (m, 2) int64 array
-    (rows in lexicographic order; endpoints are not reordered)."""
+def _edge_block(es) -> np.ndarray:
+    """A color graph's edges as an (m, 2) int64 array, rows as given."""
     try:
         arr = np.asarray(es if isinstance(es, np.ndarray) else list(es), dtype=np.int64)
     except OverflowError as exc:
@@ -163,16 +162,28 @@ def _edge_array(es) -> np.ndarray:
         return np.empty((0, 2), dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("color graph edges must be vertex pairs")
-    if not rows_increase(arr):
-        arr = np.unique(arr, axis=0)
     return arr
+
+
+def _row_steps(edges: np.ndarray) -> np.ndarray:
+    """For each pair of consecutive rows of an (m, 2) array, does the second
+    follow the first strictly in lexicographic order?"""
+    u, v = edges[:, 0], edges[:, 1]
+    return (u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))
 
 
 def rows_increase(edges: np.ndarray) -> bool:
     """Do the rows of an (m, 2) array strictly increase in lexicographic
     order (so they are sorted and free of repeats)?"""
-    u, v = edges[:, 0], edges[:, 1]
-    return bool(np.all((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))))
+    return bool(_row_steps(edges).all())
+
+
+def _concatenate(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of all blocks in one array, and the offsets of each block."""
+    offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
+    np.cumsum([len(b) for b in blocks], out=offsets[1:])
+    edges = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
+    return edges, offsets
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,10 +211,18 @@ class DualCmcInstance:
         # have no host edges at all)
         if self.a < 0:
             raise ValueError(f"budget a={self.a} is negative")
-        blocks = [_edge_array(es) for es in self.color_graphs]
-        offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
-        np.cumsum([len(b) for b in blocks], out=offsets[1:])
-        edges = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
+        blocks = [_edge_block(es) for es in self.color_graphs]
+        edges, offsets = _concatenate(blocks)
+        # one order check over all rows; a block's first row may start over
+        steps = _row_steps(edges)
+        starts = offsets[1:-1]
+        steps[starts[(starts > 0) & (starts < len(edges))] - 1] = True
+        if not steps.all():
+            # step j compares rows j and j + 1, which share a block
+            unsorted = np.searchsorted(offsets, np.flatnonzero(~steps), side="right") - 1
+            for i in np.unique(unsorted).tolist():
+                blocks[i] = np.unique(blocks[i], axis=0)
+            edges, offsets = _concatenate(blocks)
         u, v = edges[:, 0], edges[:, 1]
         bad = (u < 0) | (u >= v)
         if self.vertex_count <= _INT64_MAX:

@@ -8,11 +8,12 @@ instead of assignment enumeration, one LP commodity per vertex pair instead
 of per source, gadget edges placed digit by digit instead of broadcast from
 one star. Any disagreement points at a bug on one of the two sides.
 UnionFind lives only here, as the reference that graphs.component_labels,
-is_connected and connected_in_subset are tested against.
+is_connected and connected_in_subsets are tested against.
 
 Also here: checks and generators only tests need (exact separation
 sparsity, gadget vertex decoding, uniform random simple graphs, maximum
-degree).
+degree), and the dcmc writer that formats each color graph with one
+%-format, against which the numpy renderer is compared.
 """
 
 import itertools
@@ -317,6 +318,16 @@ def naive_gadget_edges(alpha, v_x, v_y, params):
                 for i in range(1, b + 1):
                     edges.add(norm(center, vertex(params.digit((r + g[i - 1]) % rho, i))))
     return frozenset(edges)
+
+
+def write_dcmc_formatted(d):
+    """write_dcmc with one %-format per color graph, the reference for the
+    numpy renderer."""
+    parts = [f"dcmc {d.vertex_count} {d.p} {d.a}\n"]
+    for i, es in enumerate(d.color_graphs, 1):
+        parts.append(f"g {i}\n")
+        parts.append(("e %d %d\n" * len(es)) % tuple(es.ravel().tolist()))
+    return "".join(parts)
 
 
 def min_sparsity_exhaustive(graph):

@@ -146,6 +146,19 @@ def run_limited(argv, cwd):
 
 
 HUGE_EMBEDDING = "embed 99999999999 1 2 2\nhost 0 1\nbranch 0 0\nbranch 1 1\nzeta 0 0\nzeta 1 1\n"
+# small PSI files whose duals are too large to build: a 6-edge pattern
+# (1 + 5 * 39^6 vertices), and a = 1 with 3,000-value blocks (5.4e7 rows)
+SIX_EDGE_PSI = (
+    "psi 5 2\n"
+    + "".join(f"pe {x} {y}\n" for x, y in ((0, 2), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)))
+    + "".join(f"block {x} {2 * x} {2 * x + 1}\n" for x in range(5))
+    + "".join(f"he {u} {v}\n" for u, v in ((0, 6), (0, 8), (1, 4), (1, 8), (2, 8), (3, 8), (4, 8), (6, 8)))
+)
+WIDE_PSI = (
+    "psi 2 3000\npe 0 1\n"
+    + "".join(f"block {x} {' '.join(map(str, range(3000 * x, 3000 * x + 3000)))}\n" for x in (0, 1))
+    + "".join(f"he {i} {3000 + i}\n" for i in range(3000))
+)
 
 
 @pytest.mark.parametrize(
@@ -159,8 +172,21 @@ HUGE_EMBEDDING = "embed 99999999999 1 2 2\nhost 0 1\nbranch 0 0\nbranch 1 1\nzet
         (("embed", "-k", "8", "-o", "{out}"), "graph 99999999999 3\ne 0 1\ne 1 2\ne 2 3\n", 2, None),
         (("reduce", "route", "{csp}", "-o", "{out}", "--embed"), HUGE_EMBEDDING, 2, None),
         (("reduce", "csp2psi", "{csp}", "-o", "{out}", "--embed"), HUGE_EMBEDDING, 2, None),
+        (("reduce", "psi2dcmc", "-o", "{out}"), SIX_EDGE_PSI, 2, None),
+        (("reduce", "psi2dcmc", "-o", "{out}"), WIDE_PSI, 2, None),
     ],
-    ids=["cmc", "psi", "csp", "dcmc", "dcmc-budget", "embed", "route", "csp2psi"],
+    ids=[
+        "cmc",
+        "psi",
+        "csp",
+        "dcmc",
+        "dcmc-budget",
+        "embed",
+        "route",
+        "csp2psi",
+        "psi2dcmc-six-edges",
+        "psi2dcmc-wide-blocks",
+    ],
 )
 def test_huge_header_counts(tmp_path, argv, text, code, witness):
     path = tmp_path / "huge"

@@ -3,8 +3,10 @@ import re
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import oracles
 from colorcut import formats
 from colorcut.embedding import embed, validate_embedding
 from colorcut.formats import (
@@ -129,6 +131,37 @@ def test_dcmc_fast_path_checks_bytes():
     assert formats._parse_dcmc_canonical(clamped) is None
     with pytest.raises(FormatError, match="beyond the int64 range"):
         parse_dcmc(clamped)
+
+
+def _dual_of_sizes(sizes, rng):
+    """A dual whose color graphs hold the given numbers of random rows."""
+    graphs = []
+    for size in sizes:
+        u = np.sort(np.array(rng.sample(range(10**9), size), dtype=np.int64))
+        gap = np.array([rng.randrange(10 ** rng.randint(0, 9)) for _ in range(size)])
+        graphs.append(np.stack([u, u + 1 + gap], axis=1).reshape(-1, 2))
+    return DualCmcInstance(10**10, tuple(graphs), 1)
+
+
+def test_write_dcmc_matches_formatted_writer():
+    chunk = formats._WRITE_CHUNK_ROWS
+    rng = random.Random(21)
+    top = 2**63 - 1
+    duals = [
+        DualCmcInstance(3, (), 0),  # p = 0
+        DualCmcInstance(3, ((), (), ()), 2),  # only empty color graphs
+        DualCmcInstance(
+            2**63, (((0, top), (10**18, top - 1)), (), ((9, 10), (99, 10**18))), 1
+        ),  # 19-digit ids
+        _dual_of_sizes([0, 3, 0, 0, 2, 0], rng),
+        _dual_of_sizes([2 * chunk + 5], rng),  # more rows than one chunk
+        _dual_of_sizes([chunk, 0, chunk, 1], rng),  # blocks start on chunk boundaries
+        _dual_of_sizes([chunk - 1, 1, 0, chunk + 1], rng),
+    ]
+    for d in duals:
+        text = write_dcmc(d)
+        assert text == oracles.write_dcmc_formatted(d)
+        assert parse_dcmc(text) == d
 
 
 def test_psi_round_trip():

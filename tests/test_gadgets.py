@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -11,16 +12,17 @@ from colorcut.gadgets import (
     PatternDisconnected,
     WitnessDecodeError,
     _index_to_vector,
-    build_a_edges,
     build_f_maps,
-    build_gadget,
-    build_padding,
+    build_gadgets,
     choose_prime,
     connectivize_pattern,
     decode_dual_witness,
     reduce_psi_to_dcmc,
 )
+from colorcut import gadgets
+from colorcut.formats import write_dcmc, write_gadget_map
 from colorcut.instances import (
+    CapExceeded,
     PsiInstance,
     psi_selection_ok,
     solve_dual_bruteforce,
@@ -142,32 +144,33 @@ def test_hat_block_and_hat_vertex():
 def test_a_edges_count_and_shape():
     inst = PsiInstance(2, ((0, 1),), 2, _blocks(2, 2), frozenset({(0, 2)}))
     p = _params(inst, 3)
-    rows = build_a_edges(1, 0, 2, p).tolist()
+    rows = build_gadgets([(1, 0, 2)], p)[0].tolist()
     edges = set(map(tuple, rows))
-    assert len(rows) == len(edges) == 1 + 2 * p.rho**p.a - 2  # 5
+    assert len(rows) == len(edges)
     ex, ey = p.hat_vertex(0, 0), p.hat_vertex(1, 2)
     assert (min(ex, ey), max(ex, ey)) in edges
-    hub_edges = [e for e in edges if e[0] == HUB]
-    assert len(hub_edges) == 4
-    assert all(w not in (ex, ey) for _, w in hub_edges)
+    # hub edges to every all-tier-zero vertex of the two blocks but ex, ey
+    hats = set(p.hat_blocks[[0, 1]].ravel().tolist())
+    hub_edges = [e for e in edges if e[0] == HUB and e[1] in hats]
+    assert 1 + len(hub_edges) == 1 + 2 * p.rho**p.a - 2  # 5
+    assert {w for _, w in hub_edges} == hats - {ex, ey}
 
 
 def test_padding_count_and_shape():
     inst = PsiInstance(2, ((0, 1),), 2, _blocks(2, 2), frozenset({(0, 2)}))
     p = _params(inst, 3)
-    rows = build_padding(1, 0, 2, p).tolist()
-    assert len(set(map(tuple, rows))) == len(rows) == p.h * (1 + p.rho * p.b)
-    # block 0's part; the hub counts as no block
-    edges = [e for e in rows if oracles.decode_vertex(p, e[1]).block == 0]
-    # one free-coordinate setting: 1 hub edge + rho*b star edges
-    assert len(edges) == 1 + p.rho * p.b  # 7
-    hub_edges = [e for e in edges if HUB in e]
-    assert len(hub_edges) == 1
-    anchor = hub_edges[0][1]
+    rows = build_gadgets([(1, 0, 2)], p)[0].tolist()
+    assert p.rows_per_color == 1 + 2 * p.rho**p.a - 2 + p.h * (1 + p.rho * p.b)
+    # each anchor's hub edge is also a hub edge to a hat of block x or y
+    assert len(set(map(tuple, rows))) == len(rows) == p.rows_per_color - 2 * p.rho ** (p.a - 1)
+    # the edges inside block 0; the hub counts as no block
+    stars = [e for e in rows if {oracles.decode_vertex(p, w).block for w in e} == {0}]
+    # one free-coordinate setting: rho*b star edges around one anchor
+    assert len(stars) == p.rho * p.b  # 6
+    anchor = p.anchors[0][0]
+    assert (HUB, anchor) in map(tuple, rows)
     assert oracles.decode_vertex(p, anchor).coords == ((0, 0),)
-    for u, v in edges:
-        if HUB in (u, v):
-            continue
+    for u, v in stars:
         cu, cv = oracles.decode_vertex(p, u), oracles.decode_vertex(p, v)
         center, leaf = (cu, cv) if cu.coords[0][1] == 0 else (cv, cu)
         r, _ = center.coords[0]
@@ -177,15 +180,53 @@ def test_padding_count_and_shape():
         assert lr == (r + g[lt - 1]) % p.rho
 
 
+def test_build_gadgets_without_colors():
+    inst = PsiInstance(3, ((0, 1), (1, 2)), 2, _blocks(3, 2), frozenset())
+    edges, offsets = build_gadgets([], _params(inst, 3))
+    assert edges.shape == (0, 2) and offsets.tolist() == [0]
+
+
+def test_build_gadgets_cap(monkeypatch):
+    inst = PsiInstance(2, ((0, 1),), 2, _blocks(2, 2), frozenset({(0, 2), (1, 3)}))
+    p = _params(inst, 3)
+    colors = [(1, 0, 2), (1, 1, 3)]
+    monkeypatch.setattr(gadgets, "DEFAULT_DUAL_ROW_CAP", 2 * p.rows_per_color)
+    assert len(build_gadgets(colors, p)[1]) == 3
+    monkeypatch.setattr(gadgets, "DEFAULT_DUAL_ROW_CAP", 2 * p.rows_per_color - 1)
+    with pytest.raises(CapExceeded, match=f"{2 * p.rows_per_color} gadget rows"):
+        build_gadgets(colors, p)
+
+
+def _reduction_rows(h, pattern, n, p):
+    """Pre-dedup rows of a reduction with p colors, from its parameters
+    alone."""
+    inst = PsiInstance(h, pattern, n, _blocks(h, n), frozenset())
+    return p * _params(inst, choose_prime(n, len(pattern))).rows_per_color
+
+
+def test_dual_cap_admits_the_suites_and_refuses_the_repros():
+    cap = gadgets.DEFAULT_DUAL_ROW_CAP
+    # the top sat-chain rung; the a = 3 triangle at n = 2 on a full host
+    assert _reduction_rows(2, ((0, 1),), 144, 144) < cap
+    assert _reduction_rows(3, ((0, 1), (0, 2), (1, 2)), 2, 12) < cap
+    # the 6-edge pattern of `csp_to_psi` at k = 8; a = 1 with 3,000-value blocks
+    six = ((0, 2), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4))
+    assert _reduction_rows(5, six, 2, 8) > cap
+    assert _reduction_rows(2, ((0, 1),), 3000, 3000) > cap
+
+
 def _assert_gadgets_match_naive(inst: PsiInstance) -> int:
     red = reduce_psi_to_dcmc(inst)
+    params = red.params
+    edges, offsets = build_gadgets(red.color_map, params)
+    assert np.array_equal(edges, red.dual.edges)
+    assert np.array_equal(offsets, red.dual.offsets)
     for graph, (alpha, vx, vy) in zip(red.dual.color_graphs, red.color_map):
-        edges = build_gadget(alpha, vx, vy, red.params)
-        assert np.array_equal(edges, graph)
-        assert list(map(tuple, edges.tolist())) == sorted(
-            oracles.naive_gadget_edges(alpha, vx, vy, red.params)
+        assert list(map(tuple, graph.tolist())) == sorted(
+            oracles.naive_gadget_edges(alpha, vx, vy, params)
         )
-    return red.params.rho
+        assert len(graph) == params.rows_per_color - 2 * params.rho ** (params.a - 1)
+    return params.rho
 
 
 def test_gadgets_match_naive_builder_on_the_family():
@@ -215,6 +256,20 @@ def test_gadgets_match_naive_builder(h, pattern, n, host_count, rho):
     admissible = sorted((u, v) for x, y in pattern for u in blocks[x] for v in blocks[y])
     host = frozenset(random.Random(n).sample(admissible, host_count))
     assert _assert_gadgets_match_naive(PsiInstance(h, pattern, n, blocks, host)) == rho
+
+
+# sha256 of write_dcmc and write_gadget_map of every family reduction, in
+# family order: any change to a gadget or to the dcmc layout changes it
+FAMILY_ARTIFACTS_SHA256 = "c0252086cadc5d015ebc7ff3cd06412f03559f8b92c4b251427d24a74f38c8cb"
+
+
+def test_family_artifacts_are_pinned():
+    digest = hashlib.sha256()
+    for inst in exhaustive_gadget_family():
+        red = reduce_psi_to_dcmc(inst)
+        digest.update(write_dcmc(red.dual).encode())
+        digest.update(write_gadget_map(red.color_map).encode())
+    assert digest.hexdigest() == FAMILY_ARTIFACTS_SHA256
 
 
 def test_reduction_rejects_bad_patterns():

@@ -20,7 +20,7 @@ from oracles import (
 from colorcut.graphs import (
     Graph,
     component_labels,
-    connected_in_subset,
+    connected_in_subsets,
     is_connected,
     random_max_degree3_graph,
 )
@@ -161,12 +161,11 @@ def test_union_tests_do_not_load_scipy_csgraph():
 
 def test_connected_in_subset():
     g = Graph.make(5, [(0, 1), (1, 2), (3, 4)])
-    assert connected_in_subset(g, {0, 1, 2})
-    assert connected_in_subset(g, {3, 4})
-    assert not connected_in_subset(g, {0, 2})  # 1 is the only bridge
-    assert not connected_in_subset(g, {0, 3})
-    assert connected_in_subset(g, {2})
-    assert not connected_in_subset(g, set())
+    subsets = [{0, 1, 2}, {3, 4}, {0, 2}, {0, 3}, {2}, set()]
+    # 1 is the only bridge between 0 and 2
+    assert connected_in_subsets(g, subsets).tolist() == [True, True, False, False, True, False]
+    assert connected_in_subsets(g, []).tolist() == []
+    assert connected_in_subsets(Graph.make(3, []), [{0}, {1, 2}, {2}]).tolist() == [True, False, True]
 
 
 def test_is_connected_matches_oracles():
@@ -200,11 +199,17 @@ def test_connected_in_subset_matches_oracles():
         touched = {w for e in graph.edges for w in e}
         subsets = [set(), {rng.randrange(n)}, set(range(n)) - touched, set(range(n))]
         subsets += [set(rng.sample(range(n), rng.randint(1, n))) for _ in range(6)]
+        expected = []
         for subset in subsets:
             bfs, uf = _induced_components(graph, subset)
             assert bfs == uf
+            expected.append(bfs == 1)
             for given in (subset, frozenset(subset), sorted(subset, reverse=True)):
-                assert connected_in_subset(graph, given) == (bfs == 1), (graph, subset)
+                assert connected_in_subsets(graph, [given]).tolist() == [bfs == 1], (graph, subset)
+        # all at once, in a shuffled order
+        order = rng.sample(range(len(subsets)), len(subsets))
+        got = connected_in_subsets(graph, [subsets[i] for i in order]).tolist()
+        assert got == [expected[i] for i in order], graph
 
 
 def test_union_find_tracks_components():

@@ -123,6 +123,25 @@ def test_dual_validation():
         DualCmcInstance(2, (frozenset({(1, 0)}),), 1)  # not normalized
 
 
+def test_dual_messages_name_the_color():
+    # a bad row in a middle block
+    with pytest.raises(ValueError, match=r"^color graph 2 edge \(4, 4\) not normalized in range$"):
+        DualCmcInstance(10, ([(0, 1), (2, 3)], [(1, 2), (4, 4), (5, 6)], [(0, 9)]), 1)
+    # an unsorted block is sorted first, so its smallest bad row is named
+    with pytest.raises(ValueError, match=r"^color graph 2 edge \(3, 2\) not normalized in range$"):
+        DualCmcInstance(10, ([(0, 1)], [(5, 6), (1, 2), (5, 6), (3, 2)], [(0, 9)]), 1)
+    with pytest.raises(ValueError, match=r"^color graph 3 edge \(0, 10\) not normalized in range$"):
+        DualCmcInstance(10, ([(0, 1)], [(5, 6), (1, 2), (5, 6)], [(0, 10)]), 1)
+    with pytest.raises(ValueError, match="^color graph edges must be vertex pairs$"):
+        DualCmcInstance(10, ([(0, 1)], [(1, 2, 3)], [(0, 9)]), 1)
+    with pytest.raises(ValueError, match="^color graph vertex beyond the int64 range$"):
+        DualCmcInstance(10, ([(0, 1)], [(1, 2**64)], [(0, 9)]), 1)
+    # unsorted and repeated rows are sorted and dropped, block by block
+    d = DualCmcInstance(10, ([(0, 1)], [(5, 6), (1, 2), (5, 6)], [], [(0, 9)]), 1)
+    assert d.offsets.tolist() == [0, 1, 3, 3, 4]
+    assert d.edges.tolist() == [[0, 1], [1, 2], [5, 6], [0, 9]]
+
+
 def test_dual_budget_above_p_is_vacuously_no():
     d = DualCmcInstance(3, (frozenset({(0, 1)}),), 2)
     assert d.a > d.p

@@ -138,6 +138,13 @@ CORRUPT_BRANCH_SETS = [
     ({0: {0}, 1: {9}}, "branch set of 1 leaves the host"),
     ({0: {0, 2}, 1: {1}}, "branch set of 0 is not connected in the host"),
     ({0: {0}, 1: {2}}, "edge (0, 1) does not touch in the host"),
+    # the first failing vertex is named, whatever the later ones do wrong
+    ({0: {0, 2}}, "branch set of 0 is not connected in the host"),
+    ({0: {0, 3}, 1: {1, 3}}, "branch set of 0 is not connected in the host"),
+    ({0: {0, 1, 2, 3}, 1: {1, 3}}, "branch set of 1 is not connected in the host"),
+    ({0: set(), 1: {0, 2}}, "empty branch set for vertex 0"),
+    ({0: {-1}, 1: {0, 2}}, "branch set of 0 leaves the host"),
+    ({0: {0, 1}, 1: {2, 9}}, "branch set of 1 leaves the host"),
 ]
 
 
