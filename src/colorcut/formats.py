@@ -21,7 +21,6 @@ from .instances import (
     ColoredMultigraph,
     DualCmcInstance,
     PsiInstance,
-    rows_increase,
 )
 
 
@@ -112,85 +111,44 @@ def parse_dcmc(text: str) -> DualCmcInstance:
     """`dcmc <n> <p> <a>` header, then blocks `g <i>` (i ascending from 1,
     each exactly once, empty blocks allowed) holding `e <u> <v>` lines.
 
-    Text laid out exactly as write_dcmc emits it is read block by block with
-    numpy; any other text, and every malformed one, goes through the line
-    parser, which is the only source of error messages."""
+    Text that write_dcmc would emit is read block by block with numpy and
+    kept only if the writer renders the result back to exactly that text;
+    any other text, and every malformed one, goes through the line parser,
+    which is the only source of error messages."""
     dual = _parse_dcmc_canonical(text)
     return dual if dual is not None else _parse_dcmc_lines(text)
 
 
-_ZERO, _SPACE, _NEWLINE, _E = (ord(c) for c in "0 \ne")
-# 10, 100, ..., 10**18: a value's digit count is one more than the number
-# of these it reaches
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
-
-
 def _parse_dcmc_canonical(text: str) -> DualCmcInstance | None:
-    """The instance when text is byte for byte what write_dcmc would emit
-    for it, else None. Each block is read by _canonical_edges; the edges
-    must also be sorted, duplicate-free and have u < v."""
-    if not text.endswith("\n"):
-        return None
-    chunks = text[:-1].split("\ng ")
-    head = chunks[0].split(" ")
-    if len(head) != 4 or head[0] != "dcmc":
-        return None
-    try:
-        n, p, a = (int(f) for f in head[1:])
-    except ValueError:
-        return None
-    if chunks[0] != f"dcmc {n} {p} {a}" or len(chunks) != p + 1:
-        return None
+    """The instance that write_dcmc renders to exactly `text`, else None.
+
+    The header's integers and each block's numbers are read as tokens, and
+    the writer then decides the layout: a wrong keyword, label, count or
+    separator, an unsorted block and a value numpy clamps to the int64
+    maximum all render differently. The render is compared piece by piece,
+    so no second copy of the text is built."""
+    head, *chunks = text.split("\ng ")
     graphs = []
-    with warnings.catch_warnings():
-        # numpy warns, or raises, when a token is not an integer
-        warnings.simplefilter("error", DeprecationWarning)
-        for i, chunk in enumerate(chunks[1:], 1):
-            label, newline, body = chunk.partition("\n")
-            if label != str(i) or (newline and not body):
-                return None
-            edges = _canonical_edges(body + "\n" if body else "")
-            if edges is None or not (np.all(edges[:, 0] < edges[:, 1]) and rows_increase(edges)):
-                return None
-            graphs.append(edges)
     try:
-        return DualCmcInstance(n, tuple(graphs), a)
-    except ValueError:
-        return None
-
-
-def _canonical_edges(lines: str) -> np.ndarray | None:
-    """The (m, 2) array of lines that are exactly `e <u> <v>\\n`, m times,
-    with u and v written in decimal without sign or leading zeros; else
-    None. The values are read with numpy first; their digit counts then fix
-    where every separator must sit, and every other byte must be a digit."""
-    try:
-        flat = np.fromstring(lines.replace("e", " "), dtype=np.int64, sep=" ")
+        _, n, _, a = head.split(" ")
+        with warnings.catch_warnings():
+            # numpy warns, or raises, when a token is not an integer
+            warnings.simplefilter("error", DeprecationWarning)
+            for chunk in chunks:
+                body = chunk.partition("\n")[2].replace("e", " ")
+                graphs.append(np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2))
+        dual = DualCmcInstance(int(n), tuple(graphs), int(a))
     except (ValueError, DeprecationWarning):
         return None
-    # numpy clamps values past the int64 range to its maximum
-    if flat.size % 2 or (flat.size and flat.max() == np.iinfo(np.int64).max):
-        return None
-    raw = np.frombuffer(lines.encode(), dtype=np.uint8)
-    digits = 1 + np.searchsorted(_POWERS_OF_TEN, flat, side="right")
-    du, dv = digits[0::2], digits[1::2]
-    ends = np.cumsum(du + dv + 4)  # "e u v\n" is du + dv + 4 bytes long
-    if raw.size != (ends[-1] if ends.size else 0):
-        return None
-    starts = ends - (du + dv + 4)
-    separators = (
-        (raw[starts] == _E).all()
-        and (raw[starts + 1] == _SPACE).all()
-        and (raw[starts + 2 + du] == _SPACE).all()
-        and (raw[ends - 1] == _NEWLINE).all()
-    )
-    # with the separators in place, the other bytes are all digits iff
-    # there are as many digit bytes as the values have digits; so each
-    # number is exactly as long as its value's digit count, which leaves no
-    # room for a leading zero
-    if not separators or np.count_nonzero((raw >= _ZERO) & (raw <= _ZERO + 9)) != digits.sum():
-        return None
-    return flat.reshape(-1, 2)
+    # the split text and the block arrays are no longer needed; freeing them
+    # keeps the render's scratch arrays from raising the parse's peak memory
+    del chunks, graphs
+    at = 0
+    for piece in _dcmc_pieces(dual):
+        if not text.startswith(piece, at):
+            return None
+        at += len(piece)
+    return dual if at == len(text) else None
 
 
 def _parse_dcmc_lines(text: str) -> DualCmcInstance:
@@ -220,13 +178,21 @@ def _parse_dcmc_lines(text: str) -> DualCmcInstance:
 
 # rows write_dcmc renders per numpy pass; bounds its scratch arrays
 _WRITE_CHUNK_ROWS = 8192
+_ZERO, _SPACE, _NEWLINE, _E = (ord(c) for c in "0 \ne")
+# 10, 100, ..., 10**18: a value's digit count is one more than the number
+# of these it reaches
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 def write_dcmc(d: DualCmcInstance) -> str:
-    """The `e u v` lines are rendered from d.edges with numpy, a chunk of
-    rows at a time, and each `g i` header is spliced in where block i
-    starts."""
-    parts = [f"dcmc {d.vertex_count} {d.p} {d.a}\n"]
+    return "".join(_dcmc_pieces(d))
+
+
+def _dcmc_pieces(d: DualCmcInstance):
+    """write_dcmc's text in order, piece by piece: the `e u v` lines are
+    rendered from d.edges with numpy, a chunk of rows at a time, and each
+    `g i` header is yielded where block i starts."""
+    yield f"dcmc {d.vertex_count} {d.p} {d.a}\n"
     starts = d.offsets[:-1].tolist()
     block = 0
     for lo in range(0, len(d.edges), _WRITE_CHUNK_ROWS):
@@ -235,13 +201,13 @@ def write_dcmc(d: DualCmcInstance) -> str:
         cut = 0
         while block < d.p and starts[block] < hi:
             at = int(row_at[starts[block] - lo])
-            parts.append(text[cut:at])
+            yield text[cut:at]
             block += 1
-            parts.append(f"g {block}\n")
+            yield f"g {block}\n"
             cut = at
-        parts.append(text[cut:])
-    parts.extend(f"g {i}\n" for i in range(block + 1, d.p + 1))
-    return "".join(parts)
+        yield text[cut:]
+    for i in range(block + 1, d.p + 1):
+        yield f"g {i}\n"
 
 
 def _edge_lines(edges: np.ndarray) -> tuple[str, np.ndarray]:
@@ -363,10 +329,8 @@ def parse_cnf(text: str) -> CnfFormula:
         raise FormatError("last clause is not 0-terminated")
     if len(clauses) != n_clauses:
         raise FormatError(f"problem line promises {n_clauses} clauses, found {len(clauses)}")
-    try:
+    with _as_format_error():
         return CnfFormula(n_vars, tuple(clauses))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
 
 
 def write_cnf(f: CnfFormula) -> str:
@@ -491,6 +455,8 @@ def parse_embedding(text: str):
 
     def bucket(fields, lineno):
         v, w = _int_fields(fields, lineno, 2)
+        if v in zeta:
+            raise FormatError(f"line {lineno}: zeta {v} given twice")
         zeta[v] = w
 
     records = {

@@ -172,12 +172,6 @@ def _row_steps(edges: np.ndarray) -> np.ndarray:
     return (u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))
 
 
-def rows_increase(edges: np.ndarray) -> bool:
-    """Do the rows of an (m, 2) array strictly increase in lexicographic
-    order (so they are sorted and free of repeats)?"""
-    return bool(_row_steps(edges).all())
-
-
 def _concatenate(blocks) -> tuple[np.ndarray, np.ndarray]:
     """The rows of all blocks in one array, and the offsets of each block."""
     offsets = np.zeros(len(blocks) + 1, dtype=np.int64)

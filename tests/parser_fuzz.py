@@ -93,6 +93,10 @@ NEAR_CANONICAL_DCMC = [
     "dcmc 4 1 1\ng 1\ne 0 99999999999999999999\n",
     "dcmc 4 2 1\ng 1\n\ng 2\ne 0 1\n",
     "dcmc 4 1  1\ng 1\ne 0 1\n",
+    "dcmc 4 2 1\ng 2\ne 0 1\ng 1\n",  # block labels swapped
+    "dcmc 4 1 1\ng 1\ng 0 1\n",  # a g line where an e line belongs
+    "dcmx 4 1 1\ng 1\ne 0 1\n",
+    "dcmc 4 2 1\ng 1\ne 0 1\n",  # more blocks promised than given
 ]
 
 

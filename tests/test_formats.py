@@ -161,6 +161,7 @@ def test_write_dcmc_matches_formatted_writer():
     for d in duals:
         text = write_dcmc(d)
         assert text == oracles.write_dcmc_formatted(d)
+        assert formats._parse_dcmc_canonical(text) == d
         assert parse_dcmc(text) == d
 
 
@@ -269,6 +270,8 @@ def test_embedding_parse_errors():
         parse_embedding("embed 1 0 1 1\nbranch 0 0\nbranch 0 0\nzeta 0 0\n")
     with pytest.raises(FormatError):
         parse_embedding("embed 1 1 0 1\n")  # promised a host edge
+    with pytest.raises(FormatError, match="line 4: zeta 0 given twice"):
+        parse_embedding("embed 1 0 1 1\nbranch 0 0\nzeta 0 0\nzeta 0 1\n")
 
 
 def test_gadget_map_round_trip():

@@ -19,7 +19,7 @@ from colorcut.gadgets import (
     decode_dual_witness,
     reduce_psi_to_dcmc,
 )
-from colorcut import gadgets
+from colorcut import formats, gadgets
 from colorcut.formats import write_dcmc, write_gadget_map
 from colorcut.instances import (
     CapExceeded,
@@ -267,7 +267,10 @@ def test_family_artifacts_are_pinned():
     digest = hashlib.sha256()
     for inst in exhaustive_gadget_family():
         red = reduce_psi_to_dcmc(inst)
-        digest.update(write_dcmc(red.dual).encode())
+        text = write_dcmc(red.dual)
+        # the parser's fast path takes every text the writer emits
+        assert formats._parse_dcmc_canonical(text) == red.dual
+        digest.update(text.encode())
         digest.update(write_gadget_map(red.color_map).encode())
     assert digest.hexdigest() == FAMILY_ARTIFACTS_SHA256
 
