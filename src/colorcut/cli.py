@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 for yes answers and clean runs, 1 for no answers and failed
-verifications (including an embedding that exhausted its retries), 2 for
+verifications (including an embedding that exhausted its retries, and a
+concurrent-flow LP that could not be solved or decomposed), 2 for
 malformed input, exceeded caps, and other operational errors.
 """
 
@@ -20,6 +21,7 @@ from .embedding import (
     embed_with_retry,
     validate_embedding,
 )
+from .flows import Infeasible
 from .gadgets import connectivize_pattern, reduce_psi_to_dcmc
 from .instances import (
     CapExceeded,
@@ -327,6 +329,9 @@ def main(argv=None) -> int:
         # FormatError and InvalidEmbedding are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Infeasible as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -3,13 +3,15 @@
 One unit of flow is routed between every ordered vertex pair; the diagonal
 pair (w, w) stays put on its length-0 path. Vertex congestion counts every
 path through a vertex, endpoints and length-0 paths included. The optimum
-comes from an arc-based linear program with one commodity per source s,
-shipping a unit from s to every other vertex (ell * 2|E| flow variables;
-Shahrokhi & Matula, "The maximum concurrent flow problem", JACM 1990).
-Each source's flow has its cycles cancelled and is split greedily into
-paths to its sinks. The u-v paths keep half of u's paths to v and half of
-v's paths to u reversed, so paths[(v, u)] reverses paths[(u, v)] and every
-vertex keeps its summed transit, hence the LP optimum.
+comes from an arc-based linear program (Shahrokhi & Matula, "The maximum
+concurrent flow problem", JACM 1990) that routes each unordered pair once:
+commodity s < ell - 1 ships a unit from s to every t > s ((ell - 1) * 2|E|
+flow variables), and paths[(t, s)] is the reverse of paths[(s, t)], so
+every transit unit counts twice. Symmetrizing an optimum of the LP over all
+ordered pairs gives a feasible point of this one at the same congestion,
+and reversing paths maps back, so the two optima agree. Each commodity's
+flow has its cycles cancelled and is split greedily into paths to its
+sinks.
 """
 
 from __future__ import annotations
@@ -122,8 +124,10 @@ def _decompose(flow: np.ndarray, arcs, s: int, demand: list[float]):
     demand[w] is what the flow delivers to w (zero at s and at pure transit
     vertices). Each walk leaves s, always follows the smallest-index
     positive arc, and stops at the first vertex with unmet demand, so the
-    output is deterministic. Returns per-sink lists of (path, weight);
-    flow and demand are used up in place.
+    output is deterministic. A walk that ends at a vertex with neither
+    demand nor a positive out-arc followed solver noise; its smallest arc
+    flow is cancelled along it and the walk is dropped. Returns per-sink
+    lists of (path, weight); flow and demand are used up in place.
     """
     out_arcs: list[list[int]] = [[] for _ in range(len(demand))]
     for idx, (u, _) in enumerate(arcs):
@@ -147,7 +151,13 @@ def _decompose(flow: np.ndarray, arcs, s: int, demand: list[float]):
             if len(path_vertices) > len(demand):
                 raise RuntimeError("walk exceeded vertex count; residual flow is not acyclic")
         if demand[node] <= _EPS:
-            break  # the flow is used up, or what is left is solver noise
+            if not path_arcs:
+                break  # the flow out of s is used up
+            # a dead end: zero the walk's smallest arc so the loop bound holds
+            drop = min(flow[idx] for idx in path_arcs)
+            for idx in path_arcs:
+                flow[idx] -= drop
+            continue
         weight = min(demand[node], *(flow[idx] for idx in path_arcs))
         for idx in path_arcs:
             flow[idx] -= weight
@@ -157,10 +167,11 @@ def _decompose(flow: np.ndarray, arcs, s: int, demand: list[float]):
 
 
 def _solve_lp(ell: int, arcs) -> np.ndarray:
-    """Optimal arc flows of the single-source LP: entry s * len(arcs) + a is
-    commodity s's flow on arc a, and the last entry is gamma."""
+    """Optimal arc flows of the LP that routes each unordered pair once:
+    entry s * len(arcs) + a is commodity s's flow on arc a, for s < ell - 1,
+    and the last entry is gamma."""
     n_arcs = len(arcs)
-    gamma_col = ell * n_arcs
+    gamma_col = (ell - 1) * n_arcs
     tail, head = np.array(arcs).T
     col = np.arange(gamma_col)
     source = col // n_arcs
@@ -169,29 +180,34 @@ def _solve_lp(ell: int, arcs) -> np.ndarray:
     enters = arc_head != source
     leaves = arc_tail != source
 
-    # conservation: in_s(w) - out_s(w) = 1 in row s * (ell - 1) + rank of w
-    # among the vertices other than s; the row of w = s is implied
+    # conservation: in_s(w) - out_s(w) = [w > s] in row s * (ell - 1) + rank
+    # of w among the vertices other than s; the row of w = s is implied, and
+    # the vertex of rank r lies past s exactly when r >= s
     def conservation_row(w):
         return source * (ell - 1) + w - (w > source)
 
+    rank = np.arange(ell - 1)
+    demand = np.tile(rank, ell - 1) >= np.repeat(rank, ell - 1)
     eq_rows = np.concatenate([conservation_row(arc_head)[enters], conservation_row(arc_tail)[leaves]])
     eq_cols = np.concatenate([col[enters], col[leaves]])
     eq_vals = np.concatenate([np.ones(enters.sum()), -np.ones(leaves.sum())])
-    a_eq = sparse.csr_matrix((eq_vals, (eq_rows, eq_cols)), shape=(ell * (ell - 1), gamma_col + 1))
-    # load at w: the fixed endpoint load 2*(ell-1) + 1 plus the transit, the
-    # sum over s != w of in_s(w) - 1, at most gamma; so sum in_s(w) - gamma <= -ell
+    a_eq = sparse.csr_matrix((eq_vals, (eq_rows, eq_cols)), shape=((ell - 1) ** 2, gamma_col + 1))
+    # load at w: the fixed endpoint load 2*(ell-1) + 1 plus the transit. Each
+    # path also runs reversed, so the transit is twice the sum over s != w of
+    # in_s(w) - [w > s], and sum_s [w > s] = w; so
+    # 2 * sum in_s(w) - gamma <= 2w - 2(ell-1) - 1
     ub_rows = np.concatenate([arc_head[enters], np.arange(ell)])
     ub_cols = np.concatenate([col[enters], np.full(ell, gamma_col)])
-    ub_vals = np.concatenate([np.ones(enters.sum()), -np.ones(ell)])
+    ub_vals = np.concatenate([np.full(enters.sum(), 2.0), -np.ones(ell)])
     a_ub = sparse.csr_matrix((ub_vals, (ub_rows, ub_cols)), shape=(ell, gamma_col + 1))
     objective = np.zeros(gamma_col + 1)
     objective[gamma_col] = 1.0
     result = linprog(
         objective,
         A_ub=a_ub,
-        b_ub=np.full(ell, -float(ell)),
+        b_ub=2.0 * np.arange(ell) - 2 * (ell - 1) - 1,
         A_eq=a_eq,
-        b_eq=np.ones(ell * (ell - 1)),
+        b_eq=demand.astype(float),
         bounds=(0, None),
         method="highs",
     )
@@ -222,36 +238,19 @@ def min_congestion_flow(graph: Graph) -> ConcurrentFlow:
     x = _solve_lp(ell, arcs)
     lp_gamma = float(x[-1])
 
-    # directed[s][t]: commodity s's paths to t, weights normalized to 1
-    directed = []
-    for s in range(ell):
-        flow = x[s * n_arcs : (s + 1) * n_arcs].copy()
-        _remove_cycles(flow, arcs, ell)
-        demand = [0.0 if w == s else 1.0 for w in range(ell)]
-        by_sink = _decompose(flow, arcs, s, demand)
-        for t, plist in enumerate(by_sink):
-            if t == s:
-                continue
-            total = sum(w for _, w in plist)
-            if abs(total - 1.0) > _DECOMPOSITION_SLACK:
-                raise Infeasible(f"pair ({s}, {t}) decomposed to value {total}, expected 1")
-            by_sink[t] = [(p, w / total) for p, w in plist]
-        directed.append(by_sink)
-
     paths: dict[tuple[int, int], tuple[tuple[tuple[int, ...], float], ...]] = {}
     for w in range(ell):
         paths[(w, w)] = (((w,), 1.0),)
-    for s in range(ell):
+    for s in range(ell - 1):
+        flow = x[s * n_arcs : (s + 1) * n_arcs].copy()
+        _remove_cycles(flow, arcs, ell)
+        by_sink = _decompose(flow, arcs, s, [float(w > s) for w in range(ell)])
         for t in range(s + 1, ell):
-            # half of each direction, merged; summed transit per vertex is
-            # unchanged, so the congestion is still the LP optimum
-            merged: dict[tuple[int, ...], float] = {}
-            for p, w in directed[s][t]:
-                merged[p] = merged.get(p, 0.0) + w / 2
-            for p, w in directed[t][s]:
-                merged[p[::-1]] = merged.get(p[::-1], 0.0) + w / 2
-            paths[(s, t)] = tuple(merged.items())
-            paths[(t, s)] = tuple((p[::-1], w) for p, w in merged.items())
+            total = sum(w for _, w in by_sink[t])
+            if abs(total - 1.0) > _DECOMPOSITION_SLACK:
+                raise Infeasible(f"pair ({s}, {t}) decomposed to value {total}, expected 1")
+            paths[(s, t)] = tuple((p, w / total) for p, w in by_sink[t])
+            paths[(t, s)] = tuple((p[::-1], w) for p, w in paths[(s, t)])
 
     flow_obj = ConcurrentFlow(graph, paths, 0.0, lp_gamma)
     flow_obj.congestion = max(flow_obj.vertex_loads())

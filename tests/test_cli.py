@@ -5,10 +5,11 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from colorcut import cli
+from colorcut import cli, embedding, flows
 from colorcut.config import ENV_CONFIG_PATH, RunConfig
 from colorcut.formats import (
     parse_csp,
@@ -335,6 +336,26 @@ def test_embed_failure_exit_code(capsys, tmp_path):
     )
     assert code == 1
     assert "embedding failed" in err
+
+
+def test_unsolvable_flow_lp_exit_code(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(embedding, "_FLOW_CACHE", {})
+    monkeypatch.setattr(flows, "linprog", lambda *a, **k: SimpleNamespace(success=False, message="stub"))
+    src = tmp_path / "g.graph"
+    src.write_text(write_graph(random_max_degree3_graph(40, 50, random.Random(3))))
+    code, _, err = run(capsys, "embed", str(src), "-k", "40", "-o", str(tmp_path / "g.embed"))
+    assert code == 1
+    assert err == "error: LP solver failed: stub\n"
+
+
+def test_embed_on_an_expander_with_solver_noise(tmp_path):
+    # k = 152 builds the default 38-vertex expander, whose LP optimum leaves
+    # arc flows just above the path decomposition's noise floor
+    src = tmp_path / "g.graph"
+    src.write_text(write_graph(random_max_degree3_graph(152, 152, random.Random(0))))
+    proc = run_limited(["-m", "colorcut", "embed", str(src), "-k", "152", "-o", str(tmp_path / "g.embed")], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert report(proc.stdout)["ell"] == "38"
 
 
 def test_verify_suites_cli(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import oracles
 import pytest
 
+from colorcut.config import RunConfig
 from colorcut.embedding import build_expander
 from colorcut.flows import Infeasible, _decompose, _remove_cycles, min_congestion_flow
 from colorcut.graphs import Graph, random_max_degree3_graph
@@ -167,6 +168,16 @@ def test_decompose_stops_at_first_unmet_demand():
     assert np.allclose(flow, 0.0)
 
 
+def test_decompose_cancels_a_dead_end_walk():
+    # solver noise on 0->1 leads to a vertex with no demand and no way on;
+    # the unit on 0->2 must still reach its sink
+    arcs = [(0, 1), (1, 0), (0, 2), (2, 0)]
+    flow = np.array([1e-9, 0.0, 1.0, 0.0])
+    paths = _decompose(flow, arcs, 0, [0.0, 0.0, 1.0])
+    assert paths == [[], [], [((0, 2), 1.0)]]
+    assert np.allclose(flow, 0.0)
+
+
 def _connected_max_degree3(ell, rng):
     while True:
         graph = random_max_degree3_graph(ell, rng.randint(ell - 1, 3 * ell // 2), rng)
@@ -187,3 +198,15 @@ def test_flow_matches_pairwise_lp_oracle(graph):
     assert abs(flow.lp_congestion - expected) < 1e-6
     assert abs(flow.congestion - expected) < 1e-6
     _assert_valid_paths(flow)
+
+
+# the default expanders up to ell = 24, and (ell, expander_seed) pairs whose
+# LP optimum leaves arc flows just above the decomposition's noise floor
+EXPANDER_HOSTS = [(ell, 0) for ell in range(2, 25)] + [(38, 0), (28, 2), (36, 2)]
+
+
+@pytest.mark.parametrize("ell,seed", EXPANDER_HOSTS)
+def test_flow_on_certified_expanders(ell, seed):
+    flow = min_congestion_flow(build_expander(ell, RunConfig(expander_seed=seed)).graph)
+    _assert_valid_paths(flow)
+    assert abs(flow.congestion - flow.lp_congestion) < 1e-6
