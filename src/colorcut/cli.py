@@ -178,11 +178,7 @@ def _cmd_reduce_csp2psi(args: argparse.Namespace) -> int:
 def _cmd_reduce_sat2dcmc(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     formula = formats.parse_cnf(_read(args.file))
-    try:
-        run = sat_to_dcmc(formula, cfg.seed, cfg)
-    except EmbeddingFailed as exc:
-        print(f"embedding failed: {exc}", file=sys.stderr)
-        return 1
+    run = sat_to_dcmc(formula, cfg.seed, cfg)
     _write(args.output, formats.write_dcmc(run.reduction.dual))
     map_path = args.map or args.output + ".gadgetmap"
     _write(map_path, formats.write_gadget_map(run.reduction.color_map))
@@ -198,11 +194,7 @@ def _cmd_reduce_sat2dcmc(args: argparse.Namespace) -> int:
 def _cmd_embed(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     graph = formats.parse_graph(_read(args.file))
-    try:
-        emb, used_seed = embed_with_retry(graph, args.k, cfg.seed, cfg)
-    except EmbeddingFailed as exc:
-        print(f"embedding failed: {exc}", file=sys.stderr)
-        return 1
+    emb, used_seed = embed_with_retry(graph, args.k, cfg.seed, cfg)
     validate_embedding(emb, graph)
     audit = audit_congestion(emb)
     _write(args.output, formats.write_embedding(emb))
@@ -274,13 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce = sub.add_parser("reduce", help="reduction stages")
     reduce_sub = p_reduce.add_subparsers(dest="stage", required=True)
 
-    p = reduce_sub.add_parser("psi2dcmc", parents=[parent])
+    p = reduce_sub.add_parser("psi2dcmc")
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--map", help="color provenance output (default OUTPUT.gadgetmap)")
     p.set_defaults(func=_cmd_reduce_psi2dcmc)
 
-    p = reduce_sub.add_parser("sat2csp", parents=[parent])
+    p = reduce_sub.add_parser("sat2csp")
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--graph-out", help="incidence graph output (default OUTPUT.graph)")
@@ -331,6 +323,9 @@ def main(argv=None) -> int:
         return 2
     except Infeasible as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except EmbeddingFailed as exc:
+        print(f"embedding failed: {exc}", file=sys.stderr)
         return 1
 
 

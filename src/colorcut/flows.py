@@ -71,12 +71,17 @@ class ConcurrentFlow:
         return loads
 
 
-def _find_cycle(flow: np.ndarray, arcs, vertex_count: int):
-    """Arc indices of one directed cycle with positive flow, or None."""
+def _out_arcs(arcs, vertex_count: int) -> list[list[int]]:
+    """Indices of the arcs leaving each vertex, in ascending order."""
     out_arcs: list[list[int]] = [[] for _ in range(vertex_count)]
     for idx, (u, _) in enumerate(arcs):
-        if flow[idx] > _EPS:
-            out_arcs[u].append(idx)
+        out_arcs[u].append(idx)
+    return out_arcs
+
+
+def _find_cycle(flow: np.ndarray, arcs, out_arcs):
+    """Arc indices of one directed cycle with positive flow, or None."""
+    vertex_count = len(out_arcs)
     state = [0] * vertex_count  # 0 new, 1 on stack, 2 done
     via: dict[int, int] = {}  # vertex -> arc used to reach it on the stack
     for start in range(vertex_count):
@@ -89,6 +94,8 @@ def _find_cycle(flow: np.ndarray, arcs, vertex_count: int):
             if ptr < len(out_arcs[node]):
                 stack[-1] = (node, ptr + 1)
                 arc_idx = out_arcs[node][ptr]
+                if flow[arc_idx] <= _EPS:
+                    continue
                 nxt = arcs[arc_idx][1]
                 if state[nxt] == 1:
                     cycle = [arc_idx]
@@ -107,10 +114,10 @@ def _find_cycle(flow: np.ndarray, arcs, vertex_count: int):
     return None
 
 
-def _remove_cycles(flow: np.ndarray, arcs, vertex_count: int) -> None:
+def _remove_cycles(flow: np.ndarray, arcs, out_arcs) -> None:
     """Cancel directed cycles in one commodity's arc flow, in place."""
     while True:
-        cycle = _find_cycle(flow, arcs, vertex_count)
+        cycle = _find_cycle(flow, arcs, out_arcs)
         if cycle is None:
             return
         drop = min(flow[idx] for idx in cycle)
@@ -118,7 +125,7 @@ def _remove_cycles(flow: np.ndarray, arcs, vertex_count: int) -> None:
             flow[idx] -= drop
 
 
-def _decompose(flow: np.ndarray, arcs, s: int, demand: list[float]):
+def _decompose(flow: np.ndarray, arcs, out_arcs, s: int, demand: list[float]):
     """Greedy path decomposition of an acyclic flow out of s.
 
     demand[w] is what the flow delivers to w (zero at s and at pure transit
@@ -129,9 +136,6 @@ def _decompose(flow: np.ndarray, arcs, s: int, demand: list[float]):
     flow is cancelled along it and the walk is dropped. Returns per-sink
     lists of (path, weight); flow and demand are used up in place.
     """
-    out_arcs: list[list[int]] = [[] for _ in range(len(demand))]
-    for idx, (u, _) in enumerate(arcs):
-        out_arcs[u].append(idx)
     paths: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in demand]
     for _ in range(len(arcs) + len(demand)):
         node = s
@@ -235,6 +239,7 @@ def min_congestion_flow(graph: Graph) -> ConcurrentFlow:
 
     arcs = [arc for u, v in graph.edges for arc in ((u, v), (v, u))]
     n_arcs = len(arcs)
+    out_arcs = _out_arcs(arcs, ell)
     x = _solve_lp(ell, arcs)
     lp_gamma = float(x[-1])
 
@@ -243,8 +248,8 @@ def min_congestion_flow(graph: Graph) -> ConcurrentFlow:
         paths[(w, w)] = (((w,), 1.0),)
     for s in range(ell - 1):
         flow = x[s * n_arcs : (s + 1) * n_arcs].copy()
-        _remove_cycles(flow, arcs, ell)
-        by_sink = _decompose(flow, arcs, s, [float(w > s) for w in range(ell)])
+        _remove_cycles(flow, arcs, out_arcs)
+        by_sink = _decompose(flow, arcs, out_arcs, s, [float(w > s) for w in range(ell)])
         for t in range(s + 1, ell):
             total = sum(w for _, w in by_sink[t])
             if abs(total - 1.0) > _DECOMPOSITION_SLACK:

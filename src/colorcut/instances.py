@@ -409,14 +409,6 @@ class BinaryCsp:
             rel &= self.constraints[(i, j)]
         self.constraints[(i, j)] = rel
 
-    def project_constraints(self) -> None:
-        """Drop relation pairs mentioning values no longer in the domains."""
-        for (i, j), rel in list(self.constraints.items()):
-            di, dj = set(self.domains[i]), set(self.domains[j])
-            self.constraints[(i, j)] = frozenset(
-                (a, b) for a, b in rel if a in di and b in dj
-            )
-
     def validate(self) -> None:
         for i, dom in enumerate(self.domains):
             if len(set(dom)) != len(dom):

@@ -28,10 +28,6 @@ from .instances import (
 )
 
 
-class MalformedClause(ValueError):
-    """A clause is empty, too wide, or repeats a variable."""
-
-
 class _UniversalValue:
     """Value of the connectivizing pattern vertex; compatible with every
     real value and never equal to one."""
@@ -76,8 +72,6 @@ def sat_to_csp_g(formula: CnfFormula) -> tuple[BinaryCsp, Graph]:
     csp = BinaryCsp(domains)
     for j, clause in enumerate(formula.clauses):
         width = len(clause)
-        if not 1 <= width <= 3 or len({abs(lit) for lit in clause}) != width:
-            raise MalformedClause(f"clause {j + 1} is malformed: {clause}")
         clause_vertex = n + j
         csp.domains.append(tuple(range(1, width + 1)))
         for i, lit in enumerate(clause, start=1):
@@ -116,12 +110,13 @@ def route_csp(
     """Route a CSP along an embedding of its constraint graph.
 
     Host vertex domains are products of the base domains mapped onto them.
-    Three constraint families apply, in a fixed order: (1) every base
-    constraint restricts the domain of every host vertex carrying both of
-    its variables, (2) host edges inside one branch set force the shared
-    variable to agree, (3) host edges between two branch sets enforce the
-    base constraint on the pair. Relations are finally projected onto the
-    restricted domains. A host with more than DEFAULT_GRAPH_VERTEX_CAP
+    (1) Every base constraint first restricts the domain of every host
+    vertex carrying both of its variables. Then each host edge gets one
+    relation, drawn from the restricted domains: (2) every variable whose
+    branch set holds both ends agrees across the edge, and (3) every base
+    constraint whose variables sit on the two ends holds, in either
+    orientation. A host edge that carries none of these stays
+    unconstrained. A host with more than DEFAULT_GRAPH_VERTEX_CAP
     vertices raises CapExceeded before anything is built per vertex, and
     branch sets that do not embed the constraint graph raise
     InvalidEmbedding (embedding.check_branch_sets).
@@ -156,35 +151,32 @@ def route_csp(
                 t for t in routed.domains[w] if (t[pu], t[pv]) in rel
             )
 
-    # (2) consistency along host edges inside one branch set
+    # (2) and (3): on each host edge, a shared variable must agree and a base
+    # constraint must hold in whichever orientation its variables sit
+    oriented = dict(base.constraints)
+    for (u, v), rel in base.constraints.items():
+        oriented[(v, u)] = frozenset((b, a) for a, b in rel)
     for v in range(n_vars):
-        bs = branch_sets[v]
-        for w1, w2 in host.edges:
-            if w1 in bs and w2 in bs:
-                p1, p2 = position[w1][v], position[w2][v]
-                pairs = {
+        oriented[(v, v)] = frozenset((a, a) for a in base.domains[v])
+    for w1, w2 in host.edges:
+        conditions = [
+            (p1, p2, oriented[(u, v)])
+            for p1, u in enumerate(members[w1])
+            for p2, v in enumerate(members[w2])
+            if (u, v) in oriented
+        ]
+        if conditions:
+            routed.constrain(
+                w1,
+                w2,
+                (
                     (t1, t2)
                     for t1 in routed.domains[w1]
                     for t2 in routed.domains[w2]
-                    if t1[p1] == t2[p2]
-                }
-                routed.constrain(w1, w2, pairs)
+                    if all((t1[p1], t2[p2]) in rel for p1, p2, rel in conditions)
+                ),
+            )
 
-    # (3) edge touching: base constraints across host edges, both roles
-    for (u, v), rel in sorted(base.constraints.items()):
-        for w1, w2 in host.edges:
-            for wu, wv in ((w1, w2), (w2, w1)):
-                if wu in branch_sets[u] and wv in branch_sets[v]:
-                    pu, pv = position[wu][u], position[wv][v]
-                    pairs = {
-                        (tu, tv)
-                        for tu in routed.domains[wu]
-                        for tv in routed.domains[wv]
-                        if (tu[pu], tv[pv]) in rel
-                    }
-                    routed.constrain(wu, wv, pairs)
-
-    routed.project_constraints()
     return RoutedCspContext(base, host, dict(branch_sets), members, routed)
 
 
@@ -202,43 +194,28 @@ def csp_to_psi(ctx: RoutedCspContext) -> tuple[PsiInstance, tuple[tuple[int, Has
     the instance to its (pattern vertex, value) origin.
     """
     host = ctx.host
-    routed = ctx.csp
+    domains = ctx.csp.domains
     h0 = host.vertex_count
-    block_values: list[list[Hashable]] = [list(routed.domains[w]) for w in range(h0)]
-    pattern_edges: list[tuple[int, int]] = list(host.edges)
-    value_edges: list[tuple[int, Hashable, int, Hashable]] = []
-    for w1, w2 in host.edges:
-        rel = routed.constraints.get((w1, w2))
-        for t1 in block_values[w1]:
-            for t2 in block_values[w2]:
-                if rel is None or (t1, t2) in rel:
-                    value_edges.append((w1, t1, w2, t2))
-
-    h = h0
+    blocks = list(domains)
+    pattern_edges = list(host.edges)
     if not pattern_edges or not is_connected(h0, pattern_edges):
-        universal_vertex = h0
-        h = h0 + 1
-        pattern_edges.extend((x, universal_vertex) for x in range(h0))
-        for w in range(h0):
-            for t in block_values[w]:
-                value_edges.append((w, t, universal_vertex, UNIVERSAL))
-        block_values.append([UNIVERSAL])
+        pattern_edges.extend((x, h0) for x in range(h0))
+        blocks.append((UNIVERSAL,))
+    h = len(blocks)
+    size = max(1, max(len(vals) for vals in blocks))
 
-    size = max(1, max(len(vals) for vals in block_values))
-    for w, vals in enumerate(block_values):
-        while len(vals) < size:
-            vals.append(_PaddingValue(w, len(vals)))
-
-    ids: dict[tuple[int, Hashable], int] = {}
-    codec: list[tuple[int, Hashable]] = []
-    for w, vals in enumerate(block_values):
-        for t in vals:
-            ids[(w, t)] = len(codec)
-            codec.append((w, t))
+    # value i of block w is host vertex w * size + i; w1 < w2 on every edge
+    index = [{t: w * size + i for i, t in enumerate(vals)} for w, vals in enumerate(domains)]
     host_edges = set()
-    for w1, t1, w2, t2 in value_edges:
-        a, b = ids[(w1, t1)], ids[(w2, t2)]
-        host_edges.add((a, b) if a < b else (b, a))
+    for w1, w2 in host.edges:
+        rel = ctx.csp.constraints.get((w1, w2))
+        if rel is None:
+            host_edges.update(itertools.product(index[w1].values(), index[w2].values()))
+        else:
+            host_edges.update((index[w1][t1], index[w2][t2]) for t1, t2 in rel)
+    if h > h0:
+        host_edges.update((a, h0 * size) for ids in index for a in ids.values())
+
     psi = PsiInstance(
         h,
         tuple(sorted(pattern_edges)),
@@ -246,7 +223,12 @@ def csp_to_psi(ctx: RoutedCspContext) -> tuple[PsiInstance, tuple[tuple[int, Has
         tuple(tuple(range(w * size, (w + 1) * size)) for w in range(h)),
         frozenset(host_edges),
     )
-    return psi, tuple(codec)
+    codec = tuple(
+        (w, vals[i] if i < len(vals) else _PaddingValue(w, i))
+        for w, vals in enumerate(blocks)
+        for i in range(size)
+    )
+    return psi, codec
 
 
 @dataclass
@@ -323,7 +305,6 @@ def sat_to_dcmc(formula: CnfFormula, seed: int = 0, cfg: RunConfig = RunConfig()
 
 __all__ = [
     "InvalidEmbedding",
-    "MalformedClause",
     "PipelineRun",
     "RoutedCspContext",
     "UNIVERSAL",

@@ -20,6 +20,7 @@ from .embedding import (
     EmbeddingFailed,
     audit_congestion,
     build_expander,
+    depth_bound,
     embed,
     expander_flow,
     sample_path_family,
@@ -288,11 +289,12 @@ def embedding_trial(cfg: RunConfig, trial_seed: int) -> dict:
     try:
         emb = embed(graph, k, trial_seed, cfg)
     except EmbeddingFailed as exc:
-        return {"failed": True, "depth": exc.depth, "bound": exc.bound, "valid": True}
+        return {"failed": True, "k": k, "depth": exc.depth, "bound": exc.bound, "valid": True}
     validate_embedding(emb, graph)
     audit = audit_congestion(emb)
     return {
         "failed": False,
+        "k": k,
         "depth": emb.depth,
         "bound": None,
         "valid": audit.bounded,
@@ -438,12 +440,9 @@ def calibrate(cfg: RunConfig) -> SuiteResult:
     depth_ratios: list[float] = []
     for i in range(cfg.trials):
         result = embedding_trial(unbounded, cfg.seed * 100_003 + i)
-        emb = result["embedding"]
         graph = result["graph"]
-        total = graph.vertex_count + graph.edge_count
-        k = math.isqrt(total - 1) + 1
-        unit = (1.0 + total / k) * math.log(k)
-        depth_ratios.append(emb.depth / unit)
+        unit = depth_bound(result["k"], graph.vertex_count, graph.edge_count, 1.0)
+        depth_ratios.append(result["depth"] / unit)
     depth_ratios.sort()
     lines.append(f"depth_ratio_median={depth_ratios[len(depth_ratios) // 2]:.4f}")
     lines.append(f"depth_ratio_p90={depth_ratios[int(len(depth_ratios) * 0.9)]:.4f}")

@@ -226,6 +226,20 @@ def test_reduce_sat2csp(capsys, files, tmp_path):
     assert parse_graph(open(custom).read()) == graph
 
 
+@pytest.mark.parametrize(
+    "stage, text", [("sat2csp", "p cnf 1 1\n1 0\n"), ("psi2dcmc", "psi 1 1\nblock 0 0\n")]
+)
+def test_stages_without_run_configuration_reject_it(capsys, files, tmp_path, stage, text):
+    # neither stage reads a RunConfig, so its options are usage errors
+    path = files("input", text)
+    argv = ["reduce", stage, path, "-o", str(tmp_path / "out"), "--config", "/absent.json"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _chain(capsys, tmp_path, files, cnf_text, name):
     cnf = files(f"{name}.cnf", cnf_text)
     csp_path = str(tmp_path / f"{name}.csp")

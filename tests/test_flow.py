@@ -6,7 +6,7 @@ import pytest
 
 from colorcut.config import RunConfig
 from colorcut.embedding import build_expander
-from colorcut.flows import Infeasible, _decompose, _remove_cycles, min_congestion_flow
+from colorcut.flows import Infeasible, _decompose, _out_arcs, _remove_cycles, min_congestion_flow
 from colorcut.graphs import Graph, random_max_degree3_graph
 
 # Hand-derived optima. Endpoint load at any vertex is 2*(ell-1)+1; transit
@@ -123,7 +123,7 @@ def test_cycle_removal_then_decompose():
     arcs = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]
     flow = np.array([1.0, 0.5, 0.5, 0.0, 0.0, 0.5])
     before = flow.copy()
-    _remove_cycles(flow, arcs, 3)
+    _remove_cycles(flow, arcs, _out_arcs(arcs, 3))
     assert (flow <= before + 1e-12).all() and (flow >= -1e-12).all()
     # divergence at every vertex is untouched, only circulation is gone
     for w in range(3):
@@ -143,7 +143,7 @@ def test_cycle_removal_then_decompose():
         assert sourceless, "positive arcs form a directed cycle"
         alive -= sourceless
         remaining = {i for i in remaining if arcs[i][0] in alive}
-    paths = _decompose(flow, arcs, 0, [0.0, 1.0, 0.0])[1]
+    paths = _decompose(flow, arcs, _out_arcs(arcs, 3), 0, [0.0, 1.0, 0.0])[1]
     assert sum(w for _, w in paths) == pytest.approx(1.0)
     for path, _ in paths:
         assert path[0] == 0 and path[-1] == 1
@@ -155,7 +155,7 @@ def test_decompose_greedy_split():
     # two parallel routes 0-1 and 0-2-1 carrying half a unit each
     arcs = [(0, 1), (1, 0), (0, 2), (2, 0), (2, 1), (1, 2)]
     flow = np.array([0.5, 0.0, 0.5, 0.0, 0.5, 0.0])
-    paths = _decompose(flow, arcs, 0, [0.0, 1.0, 0.0])[1]
+    paths = _decompose(flow, arcs, _out_arcs(arcs, 3), 0, [0.0, 1.0, 0.0])[1]
     assert paths == [((0, 1), 0.5), ((0, 2, 1), 0.5)]
 
 
@@ -163,7 +163,7 @@ def test_decompose_stops_at_first_unmet_demand():
     # single-source flow on the path 0-1-2: one unit ends at 1, one passes on
     arcs = [(0, 1), (1, 0), (1, 2), (2, 1)]
     flow = np.array([2.0, 0.0, 1.0, 0.0])
-    paths = _decompose(flow, arcs, 0, [0.0, 1.0, 1.0])
+    paths = _decompose(flow, arcs, _out_arcs(arcs, 3), 0, [0.0, 1.0, 1.0])
     assert paths == [[], [((0, 1), 1.0)], [((0, 1, 2), 1.0)]]
     assert np.allclose(flow, 0.0)
 
@@ -173,7 +173,7 @@ def test_decompose_cancels_a_dead_end_walk():
     # the unit on 0->2 must still reach its sink
     arcs = [(0, 1), (1, 0), (0, 2), (2, 0)]
     flow = np.array([1e-9, 0.0, 1.0, 0.0])
-    paths = _decompose(flow, arcs, 0, [0.0, 0.0, 1.0])
+    paths = _decompose(flow, arcs, _out_arcs(arcs, 3), 0, [0.0, 0.0, 1.0])
     assert paths == [[], [], [((0, 2), 1.0)]]
     assert np.allclose(flow, 0.0)
 

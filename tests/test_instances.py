@@ -275,15 +275,6 @@ def test_csp_constrain_rejects_bad_pairs():
         csp.constrain(0, 2, set())
 
 
-def test_csp_project_constraints():
-    csp = BinaryCsp([(0, 1), (0, 1)])
-    csp.constrain(0, 1, {(0, 0), (1, 1)})
-    csp.domains[0] = (0,)  # restrict variable 0 to the value 0
-    csp.project_constraints()
-    assert csp.constraints[(0, 1)] == frozenset({(0, 0)})
-    csp.validate()
-
-
 def test_csp_validate_rejects_stray_values():
     csp = BinaryCsp([(0,), (0,)])
     csp.constraints[(0, 1)] = frozenset({(0, 5)})
@@ -349,6 +340,8 @@ def test_cnf_validation():
         CnfFormula(2, ((3,),))  # variable out of range
     with pytest.raises(ValueError):
         CnfFormula(1, ((1, 0),))  # zero literal
+    with pytest.raises(ValueError):
+        CnfFormula(4, ((1, 2, 3, 4),))  # wider than three literals
 
 
 def test_sat_known_answers():

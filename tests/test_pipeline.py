@@ -1,10 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
 import oracles
+from colorcut.config import RunConfig
 from colorcut.embedding import Embedding, embed, validate_embedding
-from colorcut.formats import write_dcmc
+from colorcut.formats import write_csp, write_dcmc, write_psi
 from colorcut.gadgets import reduce_psi_to_dcmc
 from colorcut.graphs import Graph
 from colorcut.instances import (
@@ -19,7 +21,6 @@ from colorcut.instances import (
 from colorcut.pipeline import (
     UNIVERSAL,
     InvalidEmbedding,
-    MalformedClause,
     _PaddingValue,
     _UniversalValue,
     csp_to_psi,
@@ -28,15 +29,7 @@ from colorcut.pipeline import (
     sat_to_csp_g,
     sat_to_dcmc,
 )
-from colorcut.verify import random_formula
-
-
-class _RawFormula:
-    """Clause container that skips the CnfFormula checks."""
-
-    def __init__(self, variable_count, clauses):
-        self.variable_count = variable_count
-        self.clauses = clauses
+from colorcut.verify import enumerate_formulas, random_formula
 
 
 def _identity_route(formula: CnfFormula):
@@ -64,15 +57,6 @@ def test_sat_to_csp_decision_matches_sat():
             solve_csp_bruteforce(base).decision
             == solve_sat_bruteforce(f).decision
         )
-
-
-def test_sat_to_csp_rejects_malformed_clauses():
-    with pytest.raises(MalformedClause):
-        sat_to_csp_g(_RawFormula(2, ((1, 1),)))
-    with pytest.raises(MalformedClause):
-        sat_to_csp_g(_RawFormula(2, ((),)))
-    with pytest.raises(MalformedClause):
-        sat_to_csp_g(_RawFormula(4, ((1, 2, 3, 4),)))
 
 
 def test_route_identity_preserves_decision():
@@ -303,6 +287,30 @@ def test_csp_to_psi_on_wider_hosts_matches_sat():
     ctx = route_csp(base, emb.branch_sets, emb.host)
     psi, _ = csp_to_psi(ctx)
     assert solve_psi_bruteforce(psi).decision == solve_sat_bruteforce(f).decision
+
+
+# sha256 of write_csp of the routed CSP and write_psi of its PSI for every
+# formula of enumerate_formulas(3, 2) embedded at k = 8, 12, 16 (seed 0, no
+# depth bound): any change to routing or to the PSI numbering changes it
+ROUTED_ARTIFACTS_SHA256 = "d5f4dd7f546023aef38d12c4d5daa8189cdbcacb77977a032cc9c830ff2b976e"
+
+
+def test_routed_artifacts_are_pinned():
+    cfg = RunConfig(big_c_hat=1e18)
+    digest = hashlib.sha256()
+    routes = expander_routes = 0
+    for f in enumerate_formulas(3, 2):
+        base, incidence = sat_to_csp_g(f)
+        for k in (8, 12, 16):
+            emb = embed(incidence, k, 0, cfg)
+            ctx = route_csp(base, emb.branch_sets, emb.host)
+            psi, _ = csp_to_psi(ctx)
+            digest.update((write_csp(ctx.csp) + write_psi(psi)).encode())
+            routes += 1
+            expander_routes += bool(emb.draws)
+    # every host has several vertices; 238 are certified expanders
+    assert (routes, expander_routes) == (1170, 238)
+    assert digest.hexdigest() == ROUTED_ARTIFACTS_SHA256
 
 
 def test_universal_is_a_singleton():
