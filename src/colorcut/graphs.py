@@ -86,7 +86,7 @@ def component_labels(vertex_count: int, edges: np.ndarray) -> tuple[int, np.ndar
         np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
         while True:
             jumped = labels[labels]
-            if np.array_equal(jumped, labels):
+            if (jumped == labels).all():
                 break
             labels = jumped
     return int(np.count_nonzero(labels == np.arange(vertex_count))), labels

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Hashable
 
 from .config import RunConfig
@@ -64,9 +65,16 @@ def sat_to_csp_g(formula: CnfFormula) -> tuple[BinaryCsp, Graph]:
     on vertex N+j with domain 1..len(clause) naming the satisfying literal
     position. The edge constraint for the i-th literal of a clause forbids
     exactly the combination "clause points at position i but the variable
-    falsifies that literal".
+    falsifies that literal". A formula with more than
+    DEFAULT_GRAPH_VERTEX_CAP variables and clauses together raises
+    CapExceeded before anything is built.
     """
     n = formula.variable_count
+    if n + len(formula.clauses) > DEFAULT_GRAPH_VERTEX_CAP:
+        raise CapExceeded(
+            f"{n} variables and {len(formula.clauses)} clauses exceed the incidence"
+            f" graph cap {DEFAULT_GRAPH_VERTEX_CAP}"
+        )
     domains: list[tuple[Hashable, ...]] = [(False, True) for _ in range(n)]
     edges: list[tuple[int, int]] = []
     csp = BinaryCsp(domains)
@@ -83,6 +91,50 @@ def sat_to_csp_g(formula: CnfFormula) -> tuple[BinaryCsp, Graph]:
             edges.append((var_vertex, clause_vertex))
     graph = Graph.make(n + len(formula.clauses), edges)
     return csp, graph
+
+
+def _consistent_tuples(
+    base: BinaryCsp,
+    oriented: dict[tuple[int, int], frozenset],
+    w: int,
+    members: tuple[int, ...],
+    cap: int,
+) -> tuple[tuple, ...]:
+    """The tuples of base values for members (one per member, in order) that
+    meet every base constraint between two members, in the order of their
+    product. oriented holds each constraint in both orientations.
+
+    The tuples grow one member at a time: a value of the next member extends
+    a partial tuple when it meets the constraints with every member already
+    placed. Partial tuples that agree on those members get the same values,
+    so each distinct combination is filtered once. Each layer is counted
+    before it is built, and CapExceeded is raised instead of building one
+    of more than cap tuples."""
+    if not all(base.domains[v] for v in members):
+        return ()
+    layer: list[tuple] = [()]
+    for i, v in enumerate(members):
+        positions = [j for j, u in enumerate(members[:i]) if (u, v) in oriented]
+        rels = [oriented[(members[j], v)] for j in positions]
+        # a partial tuple's key is its values at positions: one value when
+        # there is one position, a tuple otherwise
+        keys = list(map(itemgetter(*positions), layer)) if positions else [()] * len(layer)
+        extensions = {
+            key: tuple(
+                a
+                for a in base.domains[v]
+                if all((b, a) in rel for b, rel in zip((key,) if len(rels) == 1 else key, rels))
+            )
+            for key in set(keys)
+        }
+        values = [extensions[key] for key in keys]
+        if sum(map(len, values)) > cap:
+            raise CapExceeded(
+                f"host vertex {w} would keep more than {cap} tuples"
+                f" on its first {i + 1} of {len(members)} members"
+            )
+        layer = [t + (a,) for t, vals in zip(layer, values) for a in vals]
+    return tuple(layer)
 
 
 @dataclass
@@ -109,10 +161,11 @@ def route_csp(
 ) -> RoutedCspContext:
     """Route a CSP along an embedding of its constraint graph.
 
-    Host vertex domains are products of the base domains mapped onto them.
-    (1) Every base constraint first restricts the domain of every host
-    vertex carrying both of its variables. Then each host edge gets one
-    relation, drawn from the restricted domains: (2) every variable whose
+    Host vertex domains are products of the base domains mapped onto them,
+    (1) restricted to the tuples that meet every base constraint between
+    two of the vertex's variables; domain_cap bounds how many tuples each
+    domain keeps while it is built (_consistent_tuples). Then each host
+    edge gets one relation, drawn from these domains: (2) every variable whose
     branch set holds both ends agrees across the edge, and (3) every base
     constraint whose variables sit on the two ends holds, in either
     orientation. A host edge that carries none of these stays
@@ -132,32 +185,19 @@ def route_csp(
         tuple(sorted(v for v in range(n_vars) if w in branch_sets[v]))
         for w in range(host.vertex_count)
     )
-    position = [{v: i for i, v in enumerate(ms)} for ms in members]
-    domains: list[tuple] = []
-    for w in range(host.vertex_count):
-        size = 1
-        for v in members[w]:
-            size *= len(base.domains[v])
-        if size > domain_cap:
-            raise CapExceeded(f"host vertex {w} would carry {size} tuples (cap {domain_cap})")
-        domains.append(tuple(itertools.product(*(base.domains[v] for v in members[w]))))
-    routed = BinaryCsp(domains)
-
-    # (1) vertex touching: restrict shared-vertex domains
-    for (u, v), rel in sorted(base.constraints.items()):
-        for w in sorted(branch_sets[u] & branch_sets[v]):
-            pu, pv = position[w][u], position[w][v]
-            routed.domains[w] = tuple(
-                t for t in routed.domains[w] if (t[pu], t[pv]) in rel
-            )
-
-    # (2) and (3): on each host edge, a shared variable must agree and a base
-    # constraint must hold in whichever orientation its variables sit
+    # every base constraint in both orientations, and the identity relation
+    # that a variable shared by two host vertices must meet
     oriented = dict(base.constraints)
     for (u, v), rel in base.constraints.items():
         oriented[(v, u)] = frozenset((b, a) for a, b in rel)
     for v in range(n_vars):
         oriented[(v, v)] = frozenset((a, a) for a in base.domains[v])
+    routed = BinaryCsp(
+        [_consistent_tuples(base, oriented, w, ms, domain_cap) for w, ms in enumerate(members)]
+    )
+
+    # (2) and (3): on each host edge, a shared variable must agree and a base
+    # constraint must hold in whichever orientation its variables sit
     for w1, w2 in host.edges:
         conditions = [
             (p1, p2, oriented[(u, v)])

@@ -4,8 +4,9 @@ Deliberately different algorithms from the package: subset combinations
 instead of vectorized masks, BFS and union-find instead of the numpy
 hook-and-compress component labelling that answers every connectivity
 question in the package, backtracking instead of product scans, DPLL
-instead of assignment enumeration, one LP commodity per vertex pair instead
-of per source, gadget edges placed digit by digit instead of broadcast from
+instead of assignment enumeration, a filtered full product instead of
+domains built member by member, one LP commodity per vertex pair instead of
+per source, gadget edges placed digit by digit instead of broadcast from
 one star. Any disagreement points at a bug on one of the two sides.
 UnionFind lives only here, as the reference that graphs.component_labels,
 is_connected and connected_in_subsets are tested against.
@@ -226,6 +227,18 @@ def csp_decision_backtracking(csp):
         return False
 
     return place(0)
+
+
+def filtered_product(csp, members):
+    """The consistent tuples of a host vertex that carries members: the full
+    product of their domains, filtered by every base constraint between two
+    members. route_csp must return the same tuples in this order."""
+    tuples = list(itertools.product(*(csp.domains[v] for v in members)))
+    for (u, v), rel in sorted(csp.constraints.items()):
+        if u in members and v in members:
+            pu, pv = members.index(u), members.index(v)
+            tuples = [t for t in tuples if (t[pu], t[pv]) in rel]
+    return tuple(tuples)
 
 
 def pairwise_congestion_lp(graph):

@@ -3,10 +3,12 @@
 Each example takes a valid seed file and applies one to three mutations:
 truncate a line, swap an integer for a huge, negative or non-integer token,
 drop a line, or duplicate one. The parser must return or raise FormatError,
-and the CLI must exit 2 on every file the parser rejects. The commands
-also run on every file the parser accepts and must exit 0, 1 or 2: the
-oracle caps bound the work of `solve`, and a vertex cap bounds that of
-`embed` and `reduce route`.
+and every command that reads the format must exit 2 on every file the
+parser rejects. The commands also run on every file the parser accepts and
+must exit 0, 1 or 2: the oracle caps bound the work of `solve`, the
+incidence graph cap that of `reduce sat2csp` and `reduce sat2dcmc`, the
+dual row cap that of `reduce psi2dcmc`, and a vertex cap that of `embed`,
+`reduce route` and `reduce csp2psi`.
 
 parse_dcmc reads text in write_dcmc's exact layout with numpy and hands
 anything else to its line parser. On every dcmc mutant, and on mutants of
@@ -34,39 +36,51 @@ from colorcut import cli, formats
 
 CSP = "csp 2\ndom 0 a b\ndom 1 a b\ncon 0 1 a|b b|a\n"
 
-# format: (parser, seed text, CLI arguments with FILE for the mutated file)
+# format: (parser, seed text, commands, each a list of CLI arguments with
+# FILE for the mutated file)
 SEEDS = {
     "cmc": (
         formats.parse_cmc,
         "cmc 3 3 2 1\ne 0 1 1\ne 1 2 2\ne 0 2 2\n",
-        ["solve", "cmc", "FILE"],
+        [["solve", "cmc", "FILE"]],
     ),
     "dcmc": (
         formats.parse_dcmc,
         "dcmc 3 2 1\ng 1\ne 0 1\ng 2\ne 1 2\ne 0 2\n",
-        ["solve", "dcmc", "FILE"],
+        [["solve", "dcmc", "FILE"]],
     ),
     "psi": (
         formats.parse_psi,
         "psi 2 2\npe 0 1\nblock 0 0 1\nblock 1 2 3\nhe 0 2\nhe 1 3\n",
-        ["solve", "psi", "FILE"],
+        [["solve", "psi", "FILE"], ["reduce", "psi2dcmc", "FILE", "-o", "OUT"]],
     ),
-    "cnf": (formats.parse_cnf, "p cnf 3 2\n1 -2 3 0\n2 0\n", ["solve", "cnf", "FILE"]),
-    "csp": (formats.parse_csp, CSP, ["solve", "csp", "FILE"]),
+    "cnf": (
+        formats.parse_cnf,
+        "p cnf 3 2\n1 -2 3 0\n2 0\n",
+        [
+            ["solve", "cnf", "FILE"],
+            ["reduce", "sat2csp", "FILE", "-o", "OUT"],
+            ["reduce", "sat2dcmc", "FILE", "-o", "OUT"],
+        ],
+    ),
+    "csp": (formats.parse_csp, CSP, [["solve", "csp", "FILE"]]),
     "graph": (
         formats.parse_graph,
         "graph 4 3\ne 0 1\ne 1 2\ne 2 3\n",
-        ["embed", "FILE", "-k", "8", "-o", "OUT"],
+        [["embed", "FILE", "-k", "8", "-o", "OUT"]],
     ),
     "embedding": (
         formats.parse_embedding,
         "embed 2 1 2 2\nhost 0 1\nbranch 0 0\nbranch 1 1\nzeta 0 0\nzeta 1 1\n",
-        ["reduce", "route", "CSP", "--embed", "FILE", "-o", "OUT"],
+        [
+            ["reduce", "route", "CSP", "--embed", "FILE", "-o", "OUT"],
+            ["reduce", "csp2psi", "CSP", "--embed", "FILE", "-o", "OUT"],
+        ],
     ),
     "gadgetmap": (
         formats.parse_gadget_map,
         "gadgetmap 2\ncolor 1 1 0 2\ncolor 2 1 1 3\n",
-        None,
+        [],
     ),
 }
 
@@ -151,7 +165,7 @@ def check_dcmc_paths_agree(text: str) -> None:
 
 
 def check(name: str, text: str, workdir: Path) -> None:
-    parser, _, argv = SEEDS[name]
+    parser, _, commands = SEEDS[name]
     if name == "dcmc":
         check_dcmc_paths_agree(text)
     try:
@@ -159,18 +173,17 @@ def check(name: str, text: str, workdir: Path) -> None:
         rejected = False
     except formats.FormatError:
         rejected = True
-    if argv is None:
-        return
     path = workdir / name
     path.write_text(text)
     (workdir / "base.csp").write_text(CSP)
     paths = {"FILE": str(path), "CSP": str(workdir / "base.csp"), "OUT": str(workdir / "out")}
-    sink = io.StringIO()
-    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-        code = cli.main([paths.get(arg, arg) for arg in argv])
-    assert code in (0, 1, 2), (name, text, code)
-    if rejected:
-        assert code == 2, (name, text, code, sink.getvalue())
+    for argv in commands:
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = cli.main([paths.get(arg, arg) for arg in argv])
+        assert code in (0, 1, 2), (argv, text, code)
+        if rejected:
+            assert code == 2, (argv, text, code, sink.getvalue())
 
 
 def run(max_examples: int) -> None:

@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -146,6 +147,7 @@ def run_limited(argv, cwd):
     )
 
 
+HUGE_CNF = "p cnf 99999999999 1\n1 0\n"
 HUGE_EMBEDDING = "embed 99999999999 1 2 2\nhost 0 1\nbranch 0 0\nbranch 1 1\nzeta 0 0\nzeta 1 1\n"
 # small PSI files whose duals are too large to build: a 6-edge pattern
 # (1 + 5 * 39^6 vertices), and a = 1 with 3,000-value blocks (5.4e7 rows)
@@ -175,6 +177,8 @@ WIDE_PSI = (
         (("reduce", "csp2psi", "{csp}", "-o", "{out}", "--embed"), HUGE_EMBEDDING, 2, None),
         (("reduce", "psi2dcmc", "-o", "{out}"), SIX_EDGE_PSI, 2, None),
         (("reduce", "psi2dcmc", "-o", "{out}"), WIDE_PSI, 2, None),
+        (("reduce", "sat2csp", "-o", "{out}"), HUGE_CNF, 2, None),
+        (("reduce", "sat2dcmc", "-o", "{out}"), HUGE_CNF, 2, None),
     ],
     ids=[
         "cmc",
@@ -187,6 +191,8 @@ WIDE_PSI = (
         "csp2psi",
         "psi2dcmc-six-edges",
         "psi2dcmc-wide-blocks",
+        "sat2csp",
+        "sat2dcmc",
     ],
 )
 def test_huge_header_counts(tmp_path, argv, text, code, witness):
@@ -312,6 +318,40 @@ def test_reduce_sat2dcmc_and_determinism(capsys, files, tmp_path):
     assert open(out_a).read() == open(out_b).read()
     assert open(out_a + ".gadgetmap").read() == open(out_b + ".gadgetmap").read()
     assert text_a.replace(out_a, "") == text_b.replace(out_b, "")
+
+
+# N = M = 8: 2^8 * 3^8 = 1,679,616 raw tuples on the one-vertex host, over
+# the default route cap, of which 5,548 are consistent
+EIGHT_BY_EIGHT = "p cnf 8 8\n" + "".join(
+    " ".join(map(str, clause)) + " 0\n"
+    for clause in (
+        (4, -3, 8), (4, -7, 5), (-8, -4, 7), (-8, -2, 1),
+        (-7, 6, -1), (7, 5, 4), (-2, 4, -6), (2, 5, -1),
+    )
+)
+
+
+def test_sat2dcmc_routes_consistent_tuples_to_the_dual_cap(capsys, files, tmp_path):
+    # the 5,548 consistent tuples route, and the dual cap refuses their dual
+    # of about 6 * 5548^2 rows
+    cnf = files("eight.cnf", EIGHT_BY_EIGHT)
+    code, _, err = run(capsys, "reduce", "sat2dcmc", cnf, "-o", str(tmp_path / "out"))
+    assert code == 2
+    assert "gadget rows exceed the dual cap" in err
+
+
+def test_route_cap_refuses_before_the_product(capsys, files, tmp_path):
+    # 40 variables and one clause: 3 * 2^40 raw tuples, and the layer of the
+    # first 10 variables is the first over a cap of 1,000
+    cnf = files("wide.cnf", "p cnf 40 1\n1 2 3 0\n")
+    config = files("cap.json", json.dumps({"cap_csp_assignments": 1000}))
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys, "reduce", "sat2dcmc", cnf, "-o", str(tmp_path / "out"), "--config", config
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "more than 1000 tuples on its first 10 of 41 members" in err
 
 
 def test_embed_command(capsys, tmp_path):

@@ -154,6 +154,56 @@ def test_route_domain_cap():
         route_csp(base, branch, incidence, domain_cap=1)
 
 
+def _one_vertex_route(formula: CnfFormula, cap: int):
+    base, incidence = sat_to_csp_g(formula)
+    branch = {v: frozenset({0}) for v in range(incidence.vertex_count)}
+    return base, route_csp(base, branch, Graph.make(1, []), domain_cap=cap)
+
+
+def test_route_cap_counts_consistent_tuples():
+    # 2 * 2 * 2 * 3 = 24 raw tuples, of which 12 point at a true literal
+    f = CnfFormula(3, ((1, 2, 3),))
+    base, ctx = _one_vertex_route(f, 12)
+    assert ctx.csp.domains[0] == oracles.filtered_product(base, (0, 1, 2, 3))
+    assert len(ctx.csp.domains[0]) == 12
+    # the 8 assignments of the variables form a layer before the clause joins
+    with pytest.raises(CapExceeded, match="more than 7 tuples on its first 3 of 4 members"):
+        _one_vertex_route(f, 7)
+
+
+def test_route_cap_bounds_every_layer():
+    # a cap routes iff every prefix of the members keeps at most cap tuples
+    rng = random.Random(17)
+    for _ in range(25):
+        f = random_formula(rng)
+        base, incidence = sat_to_csp_g(f)
+        members = tuple(range(incidence.vertex_count))
+        widest = max(
+            len(oracles.filtered_product(base, members[:i])) for i in range(1, len(members) + 1)
+        )
+        _, ctx = _one_vertex_route(f, widest)
+        assert ctx.csp.domains[0] == oracles.filtered_product(base, members)
+        with pytest.raises(CapExceeded, match=f"more than {widest - 1} tuples"):
+            _one_vertex_route(f, widest - 1)
+
+
+def test_route_empty_domain_empties_the_vertex_under_any_cap():
+    # the raw product is 0, so no layer before the empty domain is built
+    base = BinaryCsp([tuple(range(5)), ()])
+    ctx = route_csp(base, {0: frozenset({0}), 1: frozenset({0})}, Graph.make(1, []), domain_cap=1)
+    assert ctx.csp.domains == [()]
+
+
+def test_routed_domains_match_the_filtered_product():
+    rng = random.Random(29)
+    for seed in range(12):
+        f = random_formula(rng, 12)
+        base, incidence = sat_to_csp_g(f)
+        emb = embed(incidence, 8 + seed, 0, RunConfig(big_c_hat=1e18))
+        ctx = route_csp(base, emb.branch_sets, emb.host)
+        assert ctx.csp.domains == [oracles.filtered_product(base, ms) for ms in ctx.members]
+
+
 def test_csp_to_psi_connected_pattern():
     f = CnfFormula(2, ((1, 2), (-1, 2)))
     base, ctx = _identity_route(f)
