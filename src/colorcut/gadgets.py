@@ -315,9 +315,7 @@ def reduce_psi_to_dcmc(inst: PsiInstance) -> PsiReduction:
         colors.append((alpha_of[(x, max(bu, bv))], v_x, v_y))
     colors.sort()
     edges, offsets = build_gadgets(colors, params)
-    bounds = offsets.tolist()
-    graphs = tuple(edges[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-    dual = DualCmcInstance(params.vertex_count, graphs, a)
+    dual = DualCmcInstance.from_rows(params.vertex_count, edges, offsets, a)
     return PsiReduction(dual, params, tuple(colors))
 
 

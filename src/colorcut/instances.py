@@ -189,6 +189,7 @@ class DualCmcInstance:
     as an (m, 2) int array, and is stored as a sorted, duplicate-free
     read-only (m, 2) int64 array: color_graphs[i] is a view into one
     concatenated `edges` array, rows offsets[i] to offsets[i + 1].
+    from_rows takes that array and its offsets directly.
     """
 
     vertex_count: int
@@ -198,6 +199,34 @@ class DualCmcInstance:
     offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self._store(*_concatenate([_edge_block(es) for es in self.color_graphs]))
+
+    @classmethod
+    def from_rows(cls, vertex_count: int, edges, offsets, a: int) -> DualCmcInstance:
+        """The instance whose color graph i is edges[offsets[i]:offsets[i + 1]].
+        An int64 edges array that is already normalized is kept, not copied,
+        and made read-only."""
+        edges = _edge_block(edges)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if (
+            offsets.ndim != 1
+            or len(offsets) < 1
+            or offsets[0] != 0
+            or offsets[-1] != len(edges)
+            or (np.diff(offsets) < 0).any()
+        ):
+            raise ValueError("offsets must rise from 0 to the number of edge rows")
+        dual = object.__new__(cls)
+        object.__setattr__(dual, "vertex_count", vertex_count)
+        object.__setattr__(dual, "a", a)
+        dual._store(edges, offsets)
+        return dual
+
+    def _store(self, edges: np.ndarray, offsets: np.ndarray) -> None:
+        """Check vertex_count and a, sort and deduplicate each block that is
+        out of order, check that every row is normalized and in range, and
+        keep the rows with their per-color views. The tuple path and
+        from_rows share these checks."""
         if self.vertex_count < 1:
             raise ValueError("need at least one vertex")
         # a > p is allowed: no selection of that size exists, so the answer
@@ -205,8 +234,6 @@ class DualCmcInstance:
         # have no host edges at all)
         if self.a < 0:
             raise ValueError(f"budget a={self.a} is negative")
-        blocks = [_edge_block(es) for es in self.color_graphs]
-        edges, offsets = _concatenate(blocks)
         # one order check over all rows; a block's first row may start over
         steps = _row_steps(edges)
         starts = offsets[1:-1]
@@ -214,6 +241,8 @@ class DualCmcInstance:
         if not steps.all():
             # step j compares rows j and j + 1, which share a block
             unsorted = np.searchsorted(offsets, np.flatnonzero(~steps), side="right") - 1
+            bounds = offsets.tolist()
+            blocks = [edges[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
             for i in np.unique(unsorted).tolist():
                 blocks[i] = np.unique(blocks[i], axis=0)
             edges, offsets = _concatenate(blocks)

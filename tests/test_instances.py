@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import oracles
@@ -140,6 +141,31 @@ def test_dual_messages_name_the_color():
     d = DualCmcInstance(10, ([(0, 1)], [(5, 6), (1, 2), (5, 6)], [], [(0, 9)]), 1)
     assert d.offsets.tolist() == [0, 1, 3, 3, 4]
     assert d.edges.tolist() == [[0, 1], [1, 2], [5, 6], [0, 9]]
+
+
+def test_dual_from_rows_keeps_the_array():
+    blocks = ([(0, 1)], [(1, 2), (5, 6)], [], [(0, 9)])
+    edges = np.array([row for block in blocks for row in block], dtype=np.int64)
+    d = DualCmcInstance.from_rows(10, edges, [0, 1, 3, 3, 4], 1)
+    assert d == DualCmcInstance(10, blocks, 1)
+    assert d.edges is edges and not edges.flags.writeable
+    assert [g.tolist() for g in d.color_graphs] == [[list(e) for e in b] for b in blocks]
+
+
+def test_dual_from_rows_shares_the_tuple_checks():
+    # an unsorted block is sorted and deduplicated in a copy
+    edges = np.array([[0, 1], [5, 6], [1, 2], [5, 6], [0, 9]], dtype=np.int64)
+    d = DualCmcInstance.from_rows(10, edges, [0, 1, 4, 5], 1)
+    assert d.offsets.tolist() == [0, 1, 3, 4]
+    assert d.edges.tolist() == [[0, 1], [1, 2], [5, 6], [0, 9]]
+    assert edges.flags.writeable
+    with pytest.raises(ValueError, match=r"^color graph 3 edge \(0, 10\) not normalized in range$"):
+        DualCmcInstance.from_rows(10, [(0, 1), (1, 2), (0, 10)], [0, 1, 2, 3], 1)
+    with pytest.raises(ValueError, match="^need at least one vertex$"):
+        DualCmcInstance.from_rows(0, np.empty((0, 2), dtype=np.int64), [0], 0)
+    for offsets in ([], [1, 2], [0, 1], [0, 2, 1, 2], [[0, 2]]):
+        with pytest.raises(ValueError, match="^offsets must rise"):
+            DualCmcInstance.from_rows(10, [(0, 1), (1, 2)], offsets, 1)
 
 
 def test_dual_budget_above_p_is_vacuously_no():
