@@ -12,9 +12,13 @@ ordered pairs gives a feasible point of this one at the same congestion,
 and reversing paths maps back, so the two optima agree. HiGHS solves the
 LP by dual simplex with presolve off: presolve removes nothing from this
 LP (the iteration counts and the optimum are the same without it) and
-costs 10-15% of a solve at ell = 17-21. Each commodity's flow,
-taken out of the optimum as Python floats, has its cycles cancelled and is
-split greedily into paths to its sinks.
+costs 10-15% of a solve at ell = 17-21. The LP goes to scipy's HiGHS
+bindings directly, as the column-wise matrix and with the options that
+scipy's linprog(method="highs", options={"presolve": False}) would pass:
+linprog's wrapper spends 3-5 ms a solve at ell = 17-21 building duals,
+basis statuses and a result object that nothing here reads. Each
+commodity's flow, taken out of the optimum as Python floats, has its
+cycles cancelled and is split greedily into paths to its sinks.
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 from .graphs import Graph
 
@@ -68,8 +71,9 @@ class ConcurrentFlow:
     def vertex_loads(self) -> list[float]:
         loads = [0.0] * self.graph.vertex_count
         for plist in self.paths.values():
+            # decomposed paths are simple, so each vertex counts once
             for path, w in plist:
-                for vtx in set(path):
+                for vtx in path:
                     loads[vtx] += w
         return loads
 
@@ -187,41 +191,56 @@ def _solve_lp(ell: int, arcs) -> np.ndarray:
     enters = arc_head != source
     leaves = arc_tail != source
 
-    # conservation: in_s(w) - out_s(w) = [w > s] in row s * (ell - 1) + rank
-    # of w among the vertices other than s; the row of w = s is implied, and
-    # the vertex of rank r lies past s exactly when r >= s
+    # rows 0..ell-1 bound the load at each vertex w: the fixed endpoint load
+    # 2*(ell-1) + 1 plus the transit. Each path also runs reversed, so the
+    # transit is twice the sum over s != w of in_s(w) - [w > s], and
+    # sum_s [w > s] = w; so 2 * sum in_s(w) - gamma <= 2w - 2(ell-1) - 1.
+    # Conservation in_s(w) - out_s(w) = [w > s] follows in row
+    # ell + s * (ell - 1) + rank of w among the vertices other than s; the
+    # row of w = s is implied, and the vertex of rank r lies past s exactly
+    # when r >= s
     def conservation_row(w):
-        return source * (ell - 1) + w - (w > source)
+        return ell + source * (ell - 1) + w - (w > source)
 
     rank = np.arange(ell - 1)
-    demand = np.tile(rank, ell - 1) >= np.repeat(rank, ell - 1)
-    eq_rows = np.concatenate([conservation_row(arc_head)[enters], conservation_row(arc_tail)[leaves]])
-    eq_cols = np.concatenate([col[enters], col[leaves]])
-    eq_vals = np.concatenate([np.ones(enters.sum()), -np.ones(leaves.sum())])
-    a_eq = sparse.csr_matrix((eq_vals, (eq_rows, eq_cols)), shape=((ell - 1) ** 2, gamma_col + 1))
-    # load at w: the fixed endpoint load 2*(ell-1) + 1 plus the transit. Each
-    # path also runs reversed, so the transit is twice the sum over s != w of
-    # in_s(w) - [w > s], and sum_s [w > s] = w; so
-    # 2 * sum in_s(w) - gamma <= 2w - 2(ell-1) - 1
-    ub_rows = np.concatenate([arc_head[enters], np.arange(ell)])
-    ub_cols = np.concatenate([col[enters], np.full(ell, gamma_col)])
-    ub_vals = np.concatenate([np.full(enters.sum(), 2.0), -np.ones(ell)])
-    a_ub = sparse.csr_matrix((ub_vals, (ub_rows, ub_cols)), shape=(ell, gamma_col + 1))
+    demand = (np.tile(rank, ell - 1) >= np.repeat(rank, ell - 1)).astype(float)
+    rows = np.concatenate(
+        [arc_head[enters], conservation_row(arc_head)[enters], conservation_row(arc_tail)[leaves], np.arange(ell)]
+    )
+    cols = np.concatenate([col[enters], col[enters], col[leaves], np.full(ell, gamma_col)])
+    vals = np.concatenate([np.full(enters.sum(), 2.0), np.ones(enters.sum()), -np.ones(leaves.sum()), -np.ones(ell)])
+    # column-wise with rows ascending in each column, as linprog hands it over
+    order = np.lexsort((rows, cols))
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = gamma_col + 1
+    lp.num_row_ = lp.a_matrix_.num_row_ = ell + (ell - 1) ** 2
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=gamma_col + 1))])
+    lp.a_matrix_.index_ = rows[order]
+    lp.a_matrix_.value_ = vals[order]
     objective = np.zeros(gamma_col + 1)
     objective[gamma_col] = 1.0
-    result = linprog(
-        objective,
-        A_ub=a_ub,
-        b_ub=2.0 * np.arange(ell) - 2 * (ell - 1) - 1,
-        A_eq=a_eq,
-        b_eq=demand.astype(float),
-        bounds=(0, None),
-        method="highs",
-        options={"presolve": False},
-    )
-    if not result.success:
-        raise Infeasible(f"LP solver failed: {result.message}")
-    return np.maximum(result.x, 0.0)
+    lp.col_cost_ = objective
+    lp.col_lower_ = np.zeros(gamma_col + 1)
+    lp.col_upper_ = np.full(gamma_col + 1, highs.kHighsInf)
+    lp.row_lower_ = np.concatenate([np.full(ell, -highs.kHighsInf), demand])
+    lp.row_upper_ = np.concatenate([2.0 * np.arange(ell) - 2 * (ell - 1) - 1, demand])
+    options = highs.HighsOptions()
+    options.presolve = "off"
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = False
+    options.log_to_console = False
+    solver = highs._Highs()
+    error = highs.HighsStatus.kError
+    if (
+        solver.passOptions(options) == error
+        or solver.passModel(lp) == error
+        or solver.run() == error
+        or solver.getModelStatus() != highs.HighsModelStatus.kOptimal
+    ):
+        raise Infeasible(f"LP solver failed: {solver.modelStatusToString(solver.getModelStatus())}")
+    return np.maximum(solver.getSolution().col_value, 0.0)
 
 
 def min_congestion_flow(graph: Graph) -> ConcurrentFlow:

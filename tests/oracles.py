@@ -6,7 +6,7 @@ hook-and-compress component labelling that answers every connectivity
 question in the package, backtracking instead of product scans, DPLL
 instead of assignment enumeration, a filtered full product instead of
 domains built member by member, one LP commodity per vertex pair instead of
-per source, gadget edges placed digit by digit instead of broadcast from
+per source, scipy's public linprog instead of the direct HiGHS call, gadget edges placed digit by digit instead of broadcast from
 one star. Any disagreement points at a bug on one of the two sides.
 UnionFind lives only here, as the reference that graphs.component_labels,
 is_connected and connected_in_subsets are tested against.
@@ -292,6 +292,51 @@ def pairwise_congestion_lp(graph):
     )
     assert result.success, result.message
     return float(result.x[gamma_col])
+
+
+def per_source_flow_lp(ell, arcs):
+    """linprog's optimum of the LP that flows._solve_lp hands to HiGHS, with
+    the model written out loop by loop: columns s * len(arcs) + a for
+    commodity s < ell - 1 on arc a, then gamma; the ell load rows
+    2 * sum_{s != w} in_s(w) - gamma <= 2w - 2(ell-1) - 1, then the
+    conservation rows in_s(w) - out_s(w) = [w > s] for each s and each
+    w != s in ascending order. Same rows, columns and options, so the two
+    optima agree bit for bit unless the direct call drifts from linprog."""
+    n_arcs = len(arcs)
+    gamma_col = (ell - 1) * n_arcs
+    ub_rows, ub_cols, ub_vals = [], [], []
+    eq_rows, eq_cols, eq_vals, b_eq = [], [], [], []
+    for s in range(ell - 1):
+        for idx, (_, b) in enumerate(arcs):
+            if b != s:
+                ub_rows.append(b)
+                ub_cols.append(s * n_arcs + idx)
+                ub_vals.append(2.0)
+        for w in range(ell):
+            if w == s:
+                continue
+            for idx, (a, b) in enumerate(arcs):
+                if w in (a, b):
+                    eq_rows.append(len(b_eq))
+                    eq_cols.append(s * n_arcs + idx)
+                    eq_vals.append(1.0 if b == w else -1.0)
+            b_eq.append(1.0 if w > s else 0.0)
+    for w in range(ell):
+        ub_rows.append(w)
+        ub_cols.append(gamma_col)
+        ub_vals.append(-1.0)
+    result = linprog(
+        [0.0] * gamma_col + [1.0],
+        A_ub=sparse.csr_matrix((ub_vals, (ub_rows, ub_cols)), shape=(ell, gamma_col + 1)),
+        b_ub=[2.0 * w - 2 * (ell - 1) - 1 for w in range(ell)],
+        A_eq=sparse.csr_matrix((eq_vals, (eq_rows, eq_cols)), shape=(len(b_eq), gamma_col + 1)),
+        b_eq=b_eq,
+        bounds=(0, None),
+        method="highs",
+        options={"presolve": False},
+    )
+    assert result.success, result.message
+    return result.x
 
 
 def naive_gadget_edges(alpha, v_x, v_y, params):

@@ -6,7 +6,6 @@ import sys
 import time
 from dataclasses import fields, replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -394,12 +393,16 @@ def test_embed_failure_exit_code(capsys, tmp_path):
 
 def test_unsolvable_flow_lp_exit_code(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(embedding, "_FLOW_CACHE", {})
-    monkeypatch.setattr(flows, "linprog", lambda *a, **k: SimpleNamespace(success=False, message="stub"))
+    class Unsolved(flows.highs._Highs):
+        def getModelStatus(self):
+            return flows.highs.HighsModelStatus.kInfeasible
+
+    monkeypatch.setattr(flows.highs, "_Highs", Unsolved)
     src = tmp_path / "g.graph"
     src.write_text(write_graph(random_max_degree3_graph(40, 50, random.Random(3))))
     code, _, err = run(capsys, "embed", str(src), "-k", "40", "-o", str(tmp_path / "g.embed"))
     assert code == 1
-    assert err == "error: LP solver failed: stub\n"
+    assert err == "error: LP solver failed: Infeasible\n"
 
 
 def test_embed_on_an_expander_with_solver_noise(tmp_path):

@@ -1,11 +1,11 @@
 import hashlib
 import random
-import warnings
 
 import numpy as np
 import oracles
 import pytest
 
+from colorcut import flows
 from colorcut.config import RunConfig
 from colorcut.embedding import build_expander
 from colorcut.flows import (
@@ -127,14 +127,20 @@ def test_flow_single_vertex():
     assert flow.congestion == 1.0
 
 
-def test_solve_lp_options_are_all_recognized():
-    # scipy drops an option it does not know with only an OptimizeWarning
+@pytest.mark.parametrize("step", ["passOptions", "passModel"])
+def test_solve_lp_stops_when_highs_rejects_its_input(monkeypatch, step):
+    # HiGHS answers a bad option value or a bad model with kError and keeps
+    # its defaults; solving on would give an optimum of some other problem
+    class Rejecting(flows.highs._Highs):
+        def run(self):
+            raise AssertionError("solved after HiGHS rejected its input")
+
+    setattr(Rejecting, step, lambda self, _: flows.highs.HighsStatus.kError)
+    monkeypatch.setattr(flows.highs, "_Highs", Rejecting)
     graph = build_expander(5).graph
     arcs = [arc for u, v in graph.edges for arc in ((u, v), (v, u))]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with pytest.raises(Infeasible, match="^LP solver failed: Not Set$"):
         _solve_lp(5, arcs)
-    assert [str(w.message) for w in caught] == []
 
 
 def test_cycle_removal_then_decompose():
@@ -247,6 +253,21 @@ def test_flows_are_pinned():
         flow = min_congestion_flow(build_expander(ell, RunConfig(expander_seed=seed)).graph)
         for pair, plist in sorted(flow.paths.items()):
             for path, weight in plist:
+                # vertex_loads counts each vertex of a path once
+                assert len(set(path)) == len(path)
                 digest.update(f"{pair} {path} {weight.hex()}\n".encode())
         digest.update(f"{flow.congestion.hex()} {flow.lp_congestion.hex()}\n".encode())
     assert digest.hexdigest() == FLOWS_SHA256
+
+
+REFERENCE_HOSTS = [(ell, seed) for ell in range(4, 25) for seed in range(4)]
+
+
+@pytest.mark.parametrize("ell,seed", REFERENCE_HOSTS)
+def test_solve_lp_matches_linprog(ell, seed):
+    # the direct HiGHS call must return linprog's optimum bit for bit; this
+    # fails first if a scipy release moves or changes the private bindings
+    graph = build_expander(ell, RunConfig(expander_seed=seed)).graph
+    arcs = [arc for u, v in graph.edges for arc in ((u, v), (v, u))]
+    expected = np.maximum(oracles.per_source_flow_lp(ell, arcs), 0.0)
+    assert _solve_lp(ell, arcs).tobytes() == expected.tobytes()
