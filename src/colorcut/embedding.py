@@ -22,9 +22,6 @@ from .config import (
     DEFAULT_BIG_C_HAT,
     DEFAULT_C_HAT,
     DEFAULT_EMBED_RETRIES,
-    DEFAULT_EXHAUSTIVE_CAP,
-    DEFAULT_EXPANDER_RETRIES,
-    DEFAULT_EXPANDER_SEED,
     DEFAULT_EXPANSION_TARGET,
     RunConfig,
 )
@@ -396,7 +393,7 @@ def embed_with_retry(
     and return (embedding, seed that worked); re-raises the last
     EmbeddingFailed when all attempts fail."""
     last: EmbeddingFailed | None = None
-    for attempt in range(max(1, cfg.embed_retries)):
+    for attempt in range(cfg.embed_retries):
         try:
             return embed(graph, k, seed + attempt, cfg), seed + attempt
         except EmbeddingFailed as exc:
@@ -514,9 +511,6 @@ __all__ = [
     "DEFAULT_BIG_C_HAT",
     "DEFAULT_C_HAT",
     "DEFAULT_EMBED_RETRIES",
-    "DEFAULT_EXHAUSTIVE_CAP",
-    "DEFAULT_EXPANDER_RETRIES",
-    "DEFAULT_EXPANDER_SEED",
     "DEFAULT_EXPANSION_TARGET",
     "Embedding",
     "EmbeddingFailed",

@@ -17,8 +17,8 @@ bindings directly, as the column-wise matrix and with the options that
 scipy's linprog(method="highs", options={"presolve": False}) would pass:
 linprog's wrapper spends 3-5 ms a solve at ell = 17-21 building duals,
 basis statuses and a result object that nothing here reads. Each
-commodity's flow, taken out of the optimum as Python floats, has its
-cycles cancelled and is split greedily into paths to its sinks.
+commodity's flow, taken out of the optimum as Python floats, is split into
+paths to its sinks by greedy walks that cancel each cycle they close.
 """
 
 from __future__ import annotations
@@ -86,64 +86,23 @@ def _out_arcs(arcs, vertex_count: int) -> list[list[int]]:
     return out_arcs
 
 
-def _find_cycle(flow: list[float], arcs, out_arcs):
-    """Arc indices of one directed cycle with positive flow, or None."""
-    vertex_count = len(out_arcs)
-    state = [0] * vertex_count  # 0 new, 1 on stack, 2 done
-    via: dict[int, int] = {}  # vertex -> arc used to reach it on the stack
-    for start in range(vertex_count):
-        if state[start] != 0:
-            continue
-        stack = [(start, 0)]
-        state[start] = 1
-        while stack:
-            node, ptr = stack[-1]
-            if ptr < len(out_arcs[node]):
-                stack[-1] = (node, ptr + 1)
-                arc_idx = out_arcs[node][ptr]
-                if flow[arc_idx] <= _EPS:
-                    continue
-                nxt = arcs[arc_idx][1]
-                if state[nxt] == 1:
-                    cycle = [arc_idx]
-                    cur = node
-                    while cur != nxt:
-                        cycle.append(via[cur])
-                        cur = arcs[via[cur]][0]
-                    return cycle
-                if state[nxt] == 0:
-                    state[nxt] = 1
-                    via[nxt] = arc_idx
-                    stack.append((nxt, 0))
-            else:
-                state[node] = 2
-                stack.pop()
-    return None
-
-
-def _remove_cycles(flow: list[float], arcs, out_arcs) -> None:
-    """Cancel directed cycles in one commodity's arc flow, in place."""
-    while True:
-        cycle = _find_cycle(flow, arcs, out_arcs)
-        if cycle is None:
-            return
-        drop = min(flow[idx] for idx in cycle)
-        for idx in cycle:
-            flow[idx] -= drop
-
-
 def _decompose(flow: list[float], arcs, out_arcs, s: int, demand: list[float]):
-    """Greedy path decomposition of an acyclic flow out of s.
+    """Greedy path decomposition of one commodity's flow out of s.
 
     demand[w] is what the flow delivers to w (zero at s and at pure transit
     vertices). Each walk leaves s, always follows the smallest-index
     positive arc, and stops at the first vertex with unmet demand, so the
-    output is deterministic. A walk that ends at a vertex with neither
-    demand nor a positive out-arc followed solver noise; its smallest arc
-    flow is cancelled along it and the walk is dropped. Returns per-sink
-    lists of (path, weight); flow and demand are used up in place.
+    output is deterministic. A walk that steps onto a vertex already on it
+    has closed a cycle: the cycle's smallest arc flow is cancelled around
+    it, the walk is cut back to that vertex and goes on from there, so
+    every path is simple. A walk that ends at a vertex with neither demand
+    nor a positive out-arc followed solver noise; its smallest arc flow is
+    cancelled along it and the walk is dropped. Returns per-sink lists of
+    (path, weight); flow and demand are used up in place.
     """
     paths: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in demand]
+    # each walk that does not end the loop zeroes a demand or an arc, and so
+    # does each cycle it cancels
     for _ in range(len(arcs) + len(demand)):
         node = s
         path_vertices = [s]
@@ -156,11 +115,17 @@ def _decompose(flow: list[float], arcs, out_arcs, s: int, demand: list[float]):
                     break
             if nxt_arc is None:
                 break
-            path_arcs.append(nxt_arc)
             node = arcs[nxt_arc][1]
+            if node in path_vertices:
+                cut = path_vertices.index(node)
+                cycle = path_arcs[cut:] + [nxt_arc]
+                drop = min(flow[idx] for idx in cycle)
+                for idx in cycle:
+                    flow[idx] -= drop
+                del path_vertices[cut + 1 :], path_arcs[cut:]
+                continue
+            path_arcs.append(nxt_arc)
             path_vertices.append(node)
-            if len(path_vertices) > len(demand):
-                raise RuntimeError("walk exceeded vertex count; residual flow is not acyclic")
         if demand[node] <= _EPS:
             if not path_arcs:
                 break  # the flow out of s is used up
@@ -271,7 +236,6 @@ def min_congestion_flow(graph: Graph) -> ConcurrentFlow:
         paths[(w, w)] = (((w,), 1.0),)
     for s in range(ell - 1):
         flow = x[s * n_arcs : (s + 1) * n_arcs]
-        _remove_cycles(flow, arcs, out_arcs)
         by_sink = _decompose(flow, arcs, out_arcs, s, [float(w > s) for w in range(ell)])
         for t in range(s + 1, ell):
             total = sum(w for _, w in by_sink[t])

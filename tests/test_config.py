@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from colorcut import embedding, instances
+from colorcut import config, embedding, instances
 from colorcut.config import ENV_CONFIG_PATH, RunConfig, load_config
 
 
@@ -15,10 +15,10 @@ def test_defaults_track_module_constants():
     assert cfg.cap_psi_assignments == instances.DEFAULT_ASSIGNMENT_CAP
     assert cfg.cap_csp_assignments == instances.DEFAULT_ASSIGNMENT_CAP
     assert cfg.cap_sat_variables == instances.DEFAULT_SAT_VARIABLE_CAP
-    assert cfg.expander_exhaustive_cap == embedding.DEFAULT_EXHAUSTIVE_CAP
+    assert cfg.expander_exhaustive_cap == config.DEFAULT_EXHAUSTIVE_CAP
     assert cfg.expander_target == embedding.DEFAULT_EXPANSION_TARGET
-    assert cfg.expander_seed == embedding.DEFAULT_EXPANDER_SEED
-    assert cfg.expander_retries == embedding.DEFAULT_EXPANDER_RETRIES
+    assert cfg.expander_seed == config.DEFAULT_EXPANDER_SEED
+    assert cfg.expander_retries == config.DEFAULT_EXPANDER_RETRIES
     assert cfg.embed_retries == embedding.DEFAULT_EMBED_RETRIES
     assert cfg.c_hat == embedding.DEFAULT_C_HAT
     assert cfg.big_c_hat == embedding.DEFAULT_BIG_C_HAT

@@ -4,6 +4,8 @@ import random
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorcut import flows
 from colorcut.config import RunConfig
@@ -12,7 +14,6 @@ from colorcut.flows import (
     Infeasible,
     _decompose,
     _out_arcs,
-    _remove_cycles,
     _solve_lp,
     min_congestion_flow,
 )
@@ -143,37 +144,91 @@ def test_solve_lp_stops_when_highs_rejects_its_input(monkeypatch, step):
         _solve_lp(5, arcs)
 
 
-def test_cycle_removal_then_decompose():
-    # unit 0->1 flow with half a unit of circulation layered on top
-    arcs = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]
-    flow = [1.0, 0.5, 0.5, 0.0, 0.0, 0.5]
+def _assert_decomposes(arcs, before, flow, s, demand, paths):
+    """paths deliver every sink its demand along simple walks from s over
+    arcs, carry no more than the flow on any arc, and leave a residual
+    with no flow out of s and none gained or lost at any vertex."""
+    assert len(paths) == len(demand)
+    carried = dict.fromkeys(arcs, 0.0)
+    for t, plist in enumerate(paths):
+        assert sum(w for _, w in plist) == pytest.approx(demand[t], abs=1e-9)
+        for path, weight in plist:
+            assert weight > 0 and path[0] == s and path[-1] == t
+            assert len(set(path)) == len(path)
+            for arc in zip(path, path[1:]):
+                carried[arc] += weight
+    for idx, arc in enumerate(arcs):
+        assert -1e-12 <= flow[idx] <= before[idx] + 1e-12
+        assert carried[arc] <= before[idx] + 1e-9
+    for w in range(len(demand)):
+        out_flow = sum(f for f, (u, _) in zip(flow, arcs) if u == w)
+        in_flow = sum(f for f, (_, v) in zip(flow, arcs) if v == w)
+        assert out_flow == pytest.approx(in_flow, abs=1e-9)
+    assert all(f <= 1e-9 for f, (u, _) in zip(flow, arcs) if u == s)
+
+
+TRIANGLE_ARCS = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]
+
+
+@pytest.mark.parametrize(
+    "flow,demand,expected",
+    [
+        # a unit 0->1 with half a unit of circulation 0->2->1->0 on top
+        ([1.0, 0.5, 0.5, 0.0, 0.0, 0.5], [0.0, 1.0, 0.0], [[], [((0, 1), 1.0)], []]),
+        # a unit 0->1->2 whose walk first turns back to s along 1->0
+        ([1.5, 0.5, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [[], [], [((0, 1, 2), 1.0)]]),
+        # the circulations 0->1->2->0 and 0->2->0, with no demand anywhere
+        ([1.0, 0.0, 0.5, 1.5, 1.0, 0.0], [0.0, 0.0, 0.0], [[], [], []]),
+    ],
+    ids=["circulation-on-a-unit", "cycle-through-s", "pure-circulation"],
+)
+def test_decompose_cancels_the_cycles_it_closes(flow, demand, expected):
     before = flow.copy()
-    _remove_cycles(flow, arcs, _out_arcs(arcs, 3))
-    assert all(-1e-12 <= f <= b + 1e-12 for f, b in zip(flow, before))
-    # divergence at every vertex is untouched, only circulation is gone
-    for w in range(3):
-        out_delta = sum(
-            before[i] - flow[i] for i, (u, _) in enumerate(arcs) if u == w
-        )
-        in_delta = sum(
-            before[i] - flow[i] for i, (_, v) in enumerate(arcs) if v == w
-        )
-        assert abs(out_delta - in_delta) < 1e-9
-    # acyclic: repeatedly strip vertices with no incoming positive arc
-    remaining = {i for i, f in enumerate(flow) if f > 1e-9}
-    alive = {0, 1, 2}
-    while alive:
-        heads = {arcs[i][1] for i in remaining if arcs[i][0] in alive}
-        sourceless = alive - heads
-        assert sourceless, "positive arcs form a directed cycle"
-        alive -= sourceless
-        remaining = {i for i in remaining if arcs[i][0] in alive}
-    paths = _decompose(flow, arcs, _out_arcs(arcs, 3), 0, [0.0, 1.0, 0.0])[1]
-    assert sum(w for _, w in paths) == pytest.approx(1.0)
-    for path, _ in paths:
-        assert path[0] == 0 and path[-1] == 1
-        assert len(set(path)) == len(path)
+    paths = _decompose(flow, TRIANGLE_ARCS, _out_arcs(TRIANGLE_ARCS, 3), 0, demand.copy())
+    assert paths == expected
+    _assert_decomposes(TRIANGLE_ARCS, before, flow, 0, demand, paths)
     assert np.allclose(flow, 0.0)
+
+
+# dyadic weights keep every sum exact, so no walk dead-ends on rounding
+_WEIGHTS = st.integers(1, 8).map(lambda k: k / 8)
+
+
+@st.composite
+def _layered_flows(draw):
+    """(arcs, flow, s, demand): weighted s-paths that follow one vertex
+    order, so their sum is acyclic, with weighted directed cycles added,
+    on the complete digraph with its arcs in a drawn order."""
+    n = draw(st.integers(2, 6))
+    s = draw(st.integers(0, n - 1))
+    arcs = draw(st.permutations([(u, v) for u in range(n) for v in range(n) if u != v]))
+    index = {arc: idx for idx, arc in enumerate(arcs)}
+    order = [s, *draw(st.permutations([v for v in range(n) if v != s]))]
+    flow = [0.0] * len(arcs)
+    demand = [0.0] * n
+    for hops, weight in draw(st.lists(st.tuples(st.sets(st.integers(1, n - 1), min_size=1), _WEIGHTS), max_size=4)):
+        path = [s] + [order[i] for i in sorted(hops)]
+        for arc in zip(path, path[1:]):
+            flow[index[arc]] += weight
+        demand[path[-1]] += weight
+    for perm, length, weight in draw(
+        st.lists(st.tuples(st.permutations(range(n)), st.integers(2, n), _WEIGHTS), max_size=4)
+    ):
+        cycle = perm[:length]
+        for arc in zip(cycle, cycle[1:] + cycle[:1]):
+            flow[index[arc]] += weight
+    return arcs, flow, s, demand
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_layered_flows())
+def test_decompose_property_on_layered_circulations(case):
+    # a circulation that the walks strand off s's reach may stay behind:
+    # the walks from s never see it, and it carries nothing to a sink
+    arcs, flow, s, demand = case
+    before = flow.copy()
+    paths = _decompose(flow, arcs, _out_arcs(arcs, len(demand)), s, demand.copy())
+    _assert_decomposes(arcs, before, flow, s, demand, paths)
 
 
 def test_decompose_greedy_split():
