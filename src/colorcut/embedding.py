@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -162,12 +163,8 @@ def build_expander(ell: int, cfg: RunConfig = RunConfig()) -> ExpanderCertificat
     exhaustive_cap, target = cfg.expander_exhaustive_cap, cfg.expander_target
     if ell < 1:
         raise ValueError("need at least one vertex")
-    if ell == 1:
-        return _certify(Graph.make(1, []), exhaustive_cap)
-    if ell == 2:
-        return _certify(Graph.make(2, [(0, 1)]), exhaustive_cap)
-    if ell == 3:
-        return _certify(Graph.make(3, [(0, 1), (0, 2), (1, 2)]), exhaustive_cap)
+    if ell <= 3:
+        return _certify(Graph.make(ell, combinations(range(ell), 2)), exhaustive_cap)
     rng = random.Random(1_000_003 * cfg.expander_seed + ell)
     for _ in range(cfg.expander_retries):
         graph = _configuration_cubic(ell, rng)
@@ -250,30 +247,26 @@ class Embedding:
     zeta: dict[int, int]
     ell: int
     draws: tuple[PathDraw, ...] = ()
-    depth: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.depth = self.compute_depth()
 
     @property
     def reduced(self) -> bool:
         return set(self.zeta) != set(self.branch_sets)
 
-    def depth_profile(self) -> list[int]:
-        counts = [0] * self.host.vertex_count
-        for bs in self.branch_sets.values():
-            for w in bs:
-                # ids outside the host are validate_embedding's to report
-                if 0 <= w < len(counts):
-                    counts[w] += 1
-        return counts
-
-    def compute_depth(self) -> int:
-        # counted per branch-set member, so a huge host vertex count costs nothing;
-        # ids outside the host are validate_embedding's to report
+    @property
+    def load(self) -> Counter[int]:
+        """Branch sets holding each host vertex, counted per branch-set
+        member, so a huge host vertex count costs nothing; ids outside the
+        host are validate_embedding's to report."""
         n = self.host.vertex_count
-        counts = Counter(w for bs in self.branch_sets.values() for w in bs if 0 <= w < n)
-        return max(counts.values(), default=0)
+        return Counter(w for bs in self.branch_sets.values() for w in bs if 0 <= w < n)
+
+    @property
+    def depth(self) -> int:
+        return max(self.load.values(), default=0)
+
+    def depth_profile(self) -> list[int]:
+        load = self.load
+        return [load[w] for w in range(self.host.vertex_count)]
 
 
 def depth_bound(k: int, n: int, m: int, big_c: float) -> float:
@@ -323,14 +316,16 @@ def embed(graph: Graph, k: int, seed: int, cfg: RunConfig = RunConfig()) -> Embe
     to a uniform random meet vertex on a certified expander with floor(k/4)
     vertices (built from cfg's expander fields). Raises EmbeddingFailed when
     the audited depth lands above cfg.big_c_hat * (1 + (n+m)/k) * ln k, and
-    CapExceeded when the graph has more than DEFAULT_GRAPH_VERTEX_CAP
-    vertices.
+    CapExceeded when the graph, or for k >= 8 the host of floor(k/4)
+    vertices, has more than DEFAULT_GRAPH_VERTEX_CAP vertices.
     """
     if k < 2:
         raise InvalidK(f"k={k} is below the minimum budget 2")
     n, m = graph.vertex_count, graph.edge_count
     if n > DEFAULT_GRAPH_VERTEX_CAP:
         raise CapExceeded(f"{n} vertices exceed the embedding cap {DEFAULT_GRAPH_VERTEX_CAP}")
+    if k >= 8 and k // 4 > DEFAULT_GRAPH_VERTEX_CAP:
+        raise CapExceeded(f"a host of k/4 = {k // 4} vertices exceeds the cap {DEFAULT_GRAPH_VERTEX_CAP}")
     emb = _place(graph, k, seed, cfg)
     bound = depth_bound(k, n, m, cfg.big_c_hat)
     if emb.depth > bound:
@@ -435,11 +430,9 @@ def check_branch_sets(host: Graph, branch_sets, vertex_count: int, edges) -> Non
 
 def validate_embedding(emb: Embedding, graph: Graph) -> None:
     """Raise ValueError when a structural invariant fails: the branch sets
-    (check_branch_sets, which raises InvalidEmbedding), a stale depth,
-    unbalanced buckets, or a bucket outside its own branch set."""
+    (check_branch_sets, which raises InvalidEmbedding), unbalanced buckets,
+    or a bucket outside its own branch set."""
     check_branch_sets(emb.host, emb.branch_sets, graph.vertex_count, graph.edges)
-    if emb.depth != emb.compute_depth():
-        raise ValueError("stored depth is stale")
     for v, w in emb.zeta.items():
         if not 0 <= w < emb.ell:
             raise ValueError(f"zeta({v}) = {w} outside 0..{emb.ell - 1}")
@@ -449,9 +442,8 @@ def validate_embedding(emb: Embedding, graph: Graph) -> None:
                 raise ValueError(f"zeta({v}) = {w} is outside the branch set")
     population = len(emb.zeta)
     low, high = population // emb.ell, -(-population // emb.ell)
-    sizes = [0] * emb.ell
-    for w in emb.zeta.values():
-        sizes[w] += 1
+    buckets = Counter(emb.zeta.values())
+    sizes = [buckets[w] for w in range(emb.ell)]
     if any(not low <= s <= high for s in sizes):
         raise ValueError(f"bucket sizes {sizes} are not balanced for {population} vertices")
 
@@ -478,9 +470,8 @@ def audit_congestion(emb: Embedding) -> CongestionAudit:
     """Decompose the depth profile into bucket and path contributions; the
     depth never exceeds type0 + type1 + type2 pointwise."""
     size = emb.host.vertex_count
-    type0 = [0] * size
-    for w in emb.zeta.values():
-        type0[w] += 1
+    buckets = Counter(emb.zeta.values())
+    type0 = [buckets[w] for w in range(size)]
     type1 = [0] * size
     type2 = [0] * size
     for draw in emb.draws:

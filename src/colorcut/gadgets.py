@@ -115,7 +115,6 @@ class GadgetParams:
     a: int
     b: int
     h: int
-    n: int
     edge_order: tuple[tuple[int, int], ...]
     f_maps: tuple[dict[int, tuple[int, ...]], ...]
 
@@ -131,19 +130,11 @@ class GadgetParams:
     def vertex_count(self) -> int:
         return 1 + self.h * self.block_span
 
-    def digit(self, residue: int, tier: int) -> int:
-        return residue * (self.b + 1) + tier
-
-    def coord_vertex(self, z: int, digits) -> int:
-        acc = 0
-        for i, d in enumerate(digits):
-            acc += d * self.base**i
-        return 1 + z * self.block_span + acc
-
     def hat_vertex(self, x: int, host_vertex: int) -> int:
-        """Encoded image of a host vertex: all tiers zero."""
-        vec = self.f_maps[x][host_vertex]
-        return self.coord_vertex(x, [self.digit(r, 0) for r in vec])
+        """Encoded image of a host vertex: the hat of block x at the rank
+        sum_i r_i * rho^i of its field vector r."""
+        rank = sum(r * self.rho**i for i, r in enumerate(self.f_maps[x][host_vertex]))
+        return int(self.hat_blocks[x, rank])
 
     @cached_property
     def block_starts(self) -> np.ndarray:
@@ -153,7 +144,8 @@ class GadgetParams:
     @cached_property
     def hat_blocks(self) -> np.ndarray:
         """All-tier-zero vertices of each block: row x holds block x's rho^a
-        vertices, ascending."""
+        vertices, ascending, so the hat with residues r_1..r_a sits at rank
+        sum_i r_i * rho^(i-1)."""
         offsets = np.zeros(1, dtype=np.int64)
         for i in range(self.a):
             weight = (self.b + 1) * self.base**i
@@ -233,9 +225,9 @@ def build_gadgets(colors, params: GadgetParams) -> tuple[np.ndarray, np.ndarray]
 
     # the selection edge and the hub edges to the other hats of blocks x, y
     hats = params.hat_blocks[table[:, 1:3]]  # (p, 2, rho^a)
-    # an endpoint's image is its block's all-zero hat plus its residues
-    # placed at tier 0
-    ends = hats[:, :, 0] + g.reshape(p, 2, a) @ ((b + 1) * params.base ** np.arange(a))
+    # an endpoint's image is the hat at the rank of its field vector
+    ranks = g.reshape(p, 2, a) @ rho ** np.arange(a)
+    ends = np.take_along_axis(hats, ranks[:, :, None], axis=2)[:, :, 0]
     hubs = hats[hats != ends[:, :, None]].reshape(p, -1)
 
     # the padding stars as (lo, hi) offsets from their anchor
@@ -299,7 +291,6 @@ def reduce_psi_to_dcmc(inst: PsiInstance) -> PsiReduction:
         a=a,
         b=2 * a,
         h=h,
-        n=inst.block_size,
         edge_order=tuple(sorted(inst.pattern_edges)),
         f_maps=build_f_maps(inst, rho),
     )

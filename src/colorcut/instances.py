@@ -118,17 +118,22 @@ def _cmc_minimum(g: ColoredMultigraph) -> tuple[int, tuple[int, ...]]:
         counts += crossed
     counts[0] = g.p + 1  # mask 0 is the empty side, not a proper cut
     best = int(counts.min())
-    best_key: tuple[int, tuple[int, ...]] | None = None
-    for mask in np.flatnonzero(counts == best).tolist():
-        inside = tuple(i for i in range(1, n) if (mask >> (i - 1)) & 1)
-        inside_set = set(inside)
-        outside = tuple(i for i in range(n) if i not in inside_set)
-        for cand in (inside, outside):
-            key = (len(cand), cand)
-            if best_key is None or key < best_key:
-                best_key = key
-    assert best_key is not None
-    return best, best_key[1]
+    # a side S weighs sum over v in S of 2^(n-1-v); among sides of one size
+    # the lexicographically first weighs the most, so the witness has the
+    # smallest key size * 2^n + (2^n - 1 - weight)
+    optimal = np.flatnonzero(counts == best)
+    size = np.zeros(len(optimal), dtype=np.int64)
+    weight = np.zeros(len(optimal), dtype=np.int64)
+    for v in range(1, n):
+        bit = (optimal >> (v - 1)) & 1
+        size += bit
+        weight |= bit << (n - 1 - v)
+    full = (1 << n) - 1
+    inside = (size << n) + (full - weight)
+    outside = ((n - size) << n) + weight
+    key = int(min(inside.min(), outside.min()))
+    side = full - (key & full)
+    return best, tuple(v for v in range(n) if (side >> (n - 1 - v)) & 1)
 
 
 def solve_cmc_bruteforce(g: ColoredMultigraph, cap: int = DEFAULT_CMC_VERTEX_CAP) -> Answer:

@@ -101,6 +101,31 @@ def cmc_best_cut_colors(g):
     return best
 
 
+def cmc_minimum_loop(g):
+    """(minimum cut-color count, optimal side smallest under (size, lex)
+    order), one mask at a time: bit v-1 of a mask puts vertex v on the side
+    without vertex 0, and both sides of every optimal mask are compared as
+    (len, tuple) keys."""
+    n = g.vertex_count
+    counts = {}
+    for mask in range(1, 1 << (n - 1)):
+        inside = tuple(i for i in range(1, n) if (mask >> (i - 1)) & 1)
+        counts[mask] = len(g.cut_colors(inside))
+    best = min(counts.values())
+    best_key = None
+    for mask, count in counts.items():
+        if count != best:
+            continue
+        inside = tuple(i for i in range(1, n) if (mask >> (i - 1)) & 1)
+        inside_set = set(inside)
+        outside = tuple(i for i in range(n) if i not in inside_set)
+        for cand in (inside, outside):
+            key = (len(cand), cand)
+            if best_key is None or key < best_key:
+                best_key = key
+    return best, best_key[1]
+
+
 def component_count(vertex_count, edges):
     uf = UnionFind(vertex_count)
     for u, v in edges:
@@ -339,10 +364,23 @@ def per_source_flow_lp(ell, arcs):
     return result.x
 
 
+def digit(params, residue, tier):
+    """One coordinate's digit, residue * (b+1) + tier, as the gadgets module
+    docstring numbers them."""
+    return residue * (params.b + 1) + tier
+
+
+def coord_vertex(params, z, digits):
+    """Vertex of block z with per-coordinate digits d_1..d_a:
+    1 + z*(rho*(b+1))^a + sum_i d_i * (rho*(b+1))^(i-1)."""
+    base = params.rho * (params.b + 1)
+    return 1 + z * base ** params.a + sum(d * base**i for i, d in enumerate(digits))
+
+
 def naive_gadget_edges(alpha, v_x, v_y, params):
     """Edge set of the gadget for host edge (v_x, v_y) on pattern edge alpha,
-    built one vertex at a time: every endpoint goes through params.digit and
-    params.coord_vertex, and the all-tier-zero vertices of a block are
+    built one vertex at a time: every endpoint goes through digit and
+    coord_vertex above, and the all-tier-zero vertices of a block are
     re-enumerated on every call."""
     a, b, rho = params.a, params.b, params.rho
     x, y = params.edge_order[alpha - 1]
@@ -350,31 +388,31 @@ def naive_gadget_edges(alpha, v_x, v_y, params):
     def norm(u, v):
         return (u, v) if u < v else (v, u)
 
-    def hat_block(z):
-        for residues in itertools.product(range(rho), repeat=a):
-            yield params.coord_vertex(z, [params.digit(r, 0) for r in residues])
+    def hat(z, residues):
+        return coord_vertex(params, z, [digit(params, r, 0) for r in residues])
 
-    ex = params.coord_vertex(x, [params.digit(r, 0) for r in params.f_maps[x][v_x]])
-    ey = params.coord_vertex(y, [params.digit(r, 0) for r in params.f_maps[y][v_y]])
+    ex = hat(x, params.f_maps[x][v_x])
+    ey = hat(y, params.f_maps[y][v_y])
     edges = {norm(ex, ey)}
     for z in (x, y):
-        for w in hat_block(z):
+        for residues in itertools.product(range(rho), repeat=a):
+            w = hat(z, residues)
             if w not in (ex, ey):
                 edges.add((0, w))
 
     g = params.f_maps[x][v_x] + params.f_maps[y][v_y]
     for z in range(params.h):
-        for rest in itertools.product(range(params.base), repeat=a - 1):
+        for rest in itertools.product(range(rho * (b + 1)), repeat=a - 1):
             def vertex(d):
                 digits = list(rest)
                 digits.insert(alpha - 1, d)
-                return params.coord_vertex(z, digits)
+                return coord_vertex(params, z, digits)
 
-            edges.add((0, vertex(params.digit(0, 0))))
+            edges.add((0, vertex(digit(params, 0, 0))))
             for r in range(rho):
-                center = vertex(params.digit(r, 0))
+                center = vertex(digit(params, r, 0))
                 for i in range(1, b + 1):
-                    edges.add(norm(center, vertex(params.digit((r + g[i - 1]) % rho, i))))
+                    edges.add(norm(center, vertex(digit(params, (r + g[i - 1]) % rho, i))))
     return frozenset(edges)
 
 
@@ -436,14 +474,15 @@ class WCoordinate:
 
 
 def decode_vertex(params, w):
-    """Inverse of params.coord_vertex on digits params.digit(residue, tier)."""
+    """Inverse of coord_vertex on digits digit(params, residue, tier)."""
     if w == HUB:
         return WCoordinate(None, ())
-    z, rest = divmod(w - 1, params.block_span)
+    base = params.rho * (params.b + 1)
+    z, rest = divmod(w - 1, base**params.a)
     coords = []
     for _ in range(params.a):
-        rest, d = divmod(rest, params.base)
-        coords.append((d // (params.b + 1), d % (params.b + 1)))
+        rest, d = divmod(rest, base)
+        coords.append(divmod(d, params.b + 1))
     return WCoordinate(z, tuple(coords))
 
 

@@ -172,6 +172,7 @@ WIDE_PSI = (
         (("solve", "dcmc"), "dcmc 99999999999 1 1\ng 1\ne 0 1\n", 0, "1"),
         (("solve", "dcmc"), "dcmc 3 1 99999999999\ng 1\ne 0 1\n", 1, None),
         (("embed", "-k", "8", "-o", "{out}"), "graph 99999999999 3\ne 0 1\ne 1 2\ne 2 3\n", 2, None),
+        (("embed", "-k", "99999999999", "-o", "{out}"), "graph 3 2\ne 0 1\ne 1 2\n", 2, None),
         (("reduce", "route", "{csp}", "-o", "{out}", "--embed"), HUGE_EMBEDDING, 2, None),
         (("reduce", "csp2psi", "{csp}", "-o", "{out}", "--embed"), HUGE_EMBEDDING, 2, None),
         (("reduce", "psi2dcmc", "-o", "{out}"), SIX_EDGE_PSI, 2, None),
@@ -186,6 +187,7 @@ WIDE_PSI = (
         "dcmc",
         "dcmc-budget",
         "embed",
+        "embed-budget",
         "route",
         "csp2psi",
         "psi2dcmc-six-edges",

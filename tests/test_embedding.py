@@ -263,11 +263,6 @@ def test_validate_embedding_catches_corruption():
     with pytest.raises(ValueError, match="does not touch"):
         validate_embedding(moved, C5)
 
-    stale = _corrupt(base)
-    stale.depth = 99
-    with pytest.raises(ValueError, match="stale"):
-        validate_embedding(stale, C5)
-
     out_of_range = _corrupt(base, zeta={**base.zeta, 0: 7})
     with pytest.raises(ValueError, match="outside 0"):
         validate_embedding(out_of_range, C5)

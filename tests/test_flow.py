@@ -187,7 +187,8 @@ def test_decompose_cancels_the_cycles_it_closes(flow, demand, expected):
     paths = _decompose(flow, TRIANGLE_ARCS, _out_arcs(TRIANGLE_ARCS, 3), 0, demand.copy())
     assert paths == expected
     _assert_decomposes(TRIANGLE_ARCS, before, flow, 0, demand, paths)
-    assert np.allclose(flow, 0.0)
+    # dyadic flows cancel exactly: each cancelled cycle zeroes its smallest arc
+    assert flow == [0.0] * 6
 
 
 # dyadic weights keep every sum exact, so no walk dead-ends on rounding

@@ -38,7 +38,6 @@ def _params(inst: PsiInstance, rho: int) -> GadgetParams:
         a=a,
         b=2 * a,
         h=inst.pattern_vertex_count,
-        n=inst.block_size,
         edge_order=tuple(sorted(inst.pattern_edges)),
         f_maps=build_f_maps(inst, rho),
     )
@@ -117,7 +116,7 @@ def test_decode_inverts_coord_vertex():
     seen = set()
     for z in range(p.h):
         for r1, t1, r2, t2 in itertools.product(range(3), range(5), range(3), range(5)):
-            w = p.coord_vertex(z, (p.digit(r1, t1), p.digit(r2, t2)))
+            w = oracles.coord_vertex(p, z, (oracles.digit(p, r1, t1), oracles.digit(p, r2, t2)))
             got = oracles.decode_vertex(p, w)
             assert got.block == z
             assert got.coords == ((r1, t1), (r2, t2))
@@ -139,6 +138,29 @@ def test_hat_block_and_hat_vertex():
         assert all(t == 0 for _, t in coord.coords)
     assert p.hat_vertex(1, 2) in hats
     assert p.hat_vertex(1, 2) != p.hat_vertex(1, 3)
+    # hat_vertex reads hat_blocks at the rank of the field vector; the
+    # oracle places the same vertex digit by digit
+    two_edges = PsiInstance(3, ((0, 1), (1, 2)), 4, _blocks(3, 4), frozenset())
+    for q in (p, _params(two_edges, 3)):
+        for x, fmap in enumerate(q.f_maps):
+            for v, vec in fmap.items():
+                digits = [oracles.digit(q, r, 0) for r in vec]
+                assert q.hat_vertex(x, v) == oracles.coord_vertex(q, x, digits)
+
+
+def test_host_edge_with_its_lower_vertex_in_the_later_block():
+    # block 0 holds host vertices 2, 3, so each host edge (u, v) with u < v
+    # has u in block 1 and enters the gadgets as (alpha, v, u)
+    inst = PsiInstance(2, ((0, 1),), 2, ((2, 3), (0, 1)), frozenset({(0, 2), (1, 3)}))
+    red = reduce_psi_to_dcmc(inst)
+    assert red.color_map == ((1, 2, 0), (1, 3, 1))
+    want = solve_psi_bruteforce(inst).decision
+    assert want and oracles.psi_decision_backtracking(inst)
+    answer = solve_dual_bruteforce(red.dual)
+    assert answer.decision == oracles.dual_decision(red.dual) == want
+    pick = decode_dual_witness(red, answer.witness)
+    assert pick in {(2, 0), (3, 1)}
+    assert psi_selection_ok(inst, pick)
 
 
 def test_a_edges_count_and_shape():

@@ -13,6 +13,7 @@ from colorcut.instances import (
     ColoredMultigraph,
     DualCmcInstance,
     PsiInstance,
+    _cmc_minimum,
     cmc_to_dual,
     dual_to_cmc,
     psi_selection_ok,
@@ -100,6 +101,20 @@ def test_cmc_matches_subset_oracle():
             side = answer.witness
             assert 0 < len(side) < g.vertex_count
             assert len(g.cut_colors(side)) == best  # witness is optimal
+
+
+def test_cmc_minimum_matches_the_mask_loop():
+    # ties are common: few colors on up to 9 vertices, often disconnected
+    rng = random.Random(2024)
+    for _ in range(400):
+        n = rng.randint(2, 9)
+        p = rng.randint(1, 4)
+        edges = []
+        for _ in range(rng.randint(0, 10)):
+            u, v = rng.sample(range(n), 2)
+            edges.append((u, v, rng.randint(1, p)))
+        g = ColoredMultigraph(n, tuple(edges), p, p).canonical()
+        assert _cmc_minimum(g) == oracles.cmc_minimum_loop(g)
 
 
 def test_cmc_witness_is_smallest_side():

@@ -258,6 +258,21 @@ def test_csp_to_psi_adds_universal_on_disconnected_pattern():
     assert solve_psi_bruteforce(psi).decision
 
 
+def test_csp_to_psi_unconstrained_host_edge_is_fully_adjacent():
+    # no base constraint joins the two variables, so the host edge between
+    # their blocks admits every value pair
+    base = BinaryCsp([(0, 1), (0, 1, 2)])
+    ctx = route_csp(base, {0: frozenset({0}), 1: frozenset({1})}, Graph.make(2, [(0, 1)]))
+    assert ctx.csp.constraints.get((0, 1)) is None
+    psi, codec = csp_to_psi(ctx)
+    assert psi.pattern_edges == ((0, 1),)
+    assert psi.host_edges == {(a, b) for a in (0, 1) for b in (3, 4, 5)}
+    want = solve_csp_bruteforce(base).decision
+    assert want
+    assert solve_psi_bruteforce(psi).decision == oracles.psi_decision_backtracking(psi) == want
+    assert solve_dual_bruteforce(reduce_psi_to_dcmc(psi).dual).decision == want
+
+
 def test_pipeline_budget_frozen():
     assert pipeline_budget(CnfFormula(1, ())) == 2
     assert pipeline_budget(CnfFormula(2, ((1, 2), (-1, 2)))) == 2

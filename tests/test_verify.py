@@ -24,6 +24,7 @@ from colorcut.verify import (
     random_formula,
     verify_duality,
     verify_embedding,
+    verify_gadgets,
     verify_pipeline,
 )
 
@@ -134,6 +135,20 @@ def test_check_gadget_instance_sample_of_family():
         result = check_gadget_instance(inst, CFG)
         assert result["equiv_ok"]
         assert result["size_ok"]
+
+
+def test_verify_gadgets_lines():
+    result = verify_gadgets(CFG)
+    assert result.ok
+    assert result.lines == [
+        "gadget_instances=798",
+        "gadget_yes=640",
+        *(
+            f"gadget_{key}_failures=0"
+            for key in ("decode", "equiv", "forward", "pairs", "size", "spanning")
+        ),
+        "gadgets_ok=1",
+    ]
 
 
 def test_verify_embedding_smoke():
