@@ -118,22 +118,29 @@ def _cmc_minimum(g: ColoredMultigraph) -> tuple[int, tuple[int, ...]]:
         counts += crossed
     counts[0] = g.p + 1  # mask 0 is the empty side, not a proper cut
     best = int(counts.min())
-    # a side S weighs sum over v in S of 2^(n-1-v); among sides of one size
-    # the lexicographically first weighs the most, so the witness has the
-    # smallest key size * 2^n + (2^n - 1 - weight)
-    optimal = np.flatnonzero(counts == best)
-    size = np.zeros(len(optimal), dtype=np.int64)
-    weight = np.zeros(len(optimal), dtype=np.int64)
+    # the side without vertex 0 holds vertex v >= 1 as mask bit v - 1; it
+    # weighs sum over its v of 2^(n-1-v), and among sides of one size the
+    # lexicographically first weighs the most. Sizes and weights are summed
+    # in place in uint8 and uint32 arrays, so that the selection holds a few
+    # bytes per optimal mask, not a full-width key
+    optimal = masks[counts == best]
+    size = np.zeros(len(optimal), dtype=np.uint8)
+    weight = np.zeros(len(optimal), dtype=np.uint32)
+    bit = np.empty_like(optimal)
     for v in range(1, n):
-        bit = (optimal >> (v - 1)) & 1
+        np.right_shift(optimal, v - 1, out=bit)
+        bit &= 1
         size += bit
-        weight |= bit << (n - 1 - v)
-    full = (1 << n) - 1
-    inside = (size << n) + (full - weight)
-    outside = ((n - size) << n) + weight
-    key = int(min(inside.min(), outside.min()))
-    side = full - (key & full)
-    return best, tuple(v for v in range(n) if (side >> (n - 1 - v)) & 1)
+        bit <<= n - 1 - v
+        weight |= bit
+    # the other side holds vertex 0, so it comes first among sides of its
+    # size, and the lighter the side without 0, the heavier the other side
+    smallest = min(int(size.min()), n - int(size.max()))
+    holds_zero = n - smallest == int(size.max())
+    chosen = weight[size == (n - smallest if holds_zero else smallest)]
+    picked = int(chosen.min() if holds_zero else chosen.max())
+    without_zero = {v for v in range(1, n) if (picked >> (n - 1 - v)) & 1}
+    return best, tuple(v for v in range(n) if (v in without_zero) != holds_zero)
 
 
 def solve_cmc_bruteforce(g: ColoredMultigraph, cap: int = DEFAULT_CMC_VERTEX_CAP) -> Answer:

@@ -1,5 +1,10 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import oracles
@@ -327,3 +332,77 @@ def test_solve_lp_matches_linprog(ell, seed):
     arcs = [arc for u, v in graph.edges for arc in ((u, v), (v, u))]
     expected = np.maximum(oracles.per_source_flow_lp(ell, arcs), 0.0)
     assert _solve_lp(ell, arcs).tobytes() == expected.tobytes()
+
+
+def run_child(script, *path_front):
+    """Run script in a fresh interpreter that finds colorcut after path_front."""
+    src = str(Path(flows.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [*map(str, path_front), src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_embed_does_not_load_scipy_optimize(tmp_path):
+    # flows loads the HiGHS extension from its file; in-process, pytest's
+    # filterwarnings setting has already imported scipy.optimize
+    script = f"""
+        import contextlib, io, random, sys
+        from colorcut import cli, flows
+        from colorcut.formats import write_graph
+        from colorcut.graphs import random_max_degree3_graph
+
+        solves = []
+        solve_lp = flows._solve_lp
+        flows._solve_lp = lambda *args: solves.append(args) or solve_lp(*args)
+        with open({str(tmp_path / "g.graph")!r}, "w") as f:
+            f.write(write_graph(random_max_degree3_graph(40, 50, random.Random(3))))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["embed", f.name, "-k", "16", "-o", {str(tmp_path / "g.embed")!r}])
+        assert code == 0 and solves, (code, solves)
+        loaded = {{"scipy.optimize", "scipy.sparse", "scipy.linalg"}} & set(sys.modules)
+        assert not loaded, loaded
+    """
+    done = run_child(script)
+    assert done.returncode == 0, done.stderr
+
+
+IMPORT_ORDERS = {
+    "colorcut-first": "from colorcut import flows\nfrom scipy.optimize import linprog",
+    "scipy-first": "from scipy.optimize import linprog\nfrom colorcut import flows",
+}
+
+
+@pytest.mark.parametrize("imports", IMPORT_ORDERS.values(), ids=IMPORT_ORDERS.keys())
+def test_linprog_and_flows_share_the_highs_module(imports):
+    script = imports + textwrap.dedent(
+        """
+        import sys
+        from colorcut.graphs import Graph
+
+        result = linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-1], method="highs")
+        assert result.status == 0 and result.x.tolist() == [1.0, 0.0], result
+        assert sys.modules["scipy.optimize._highspy._core"] is flows.highs
+        assert flows.min_congestion_flow(Graph.make(3, [(0, 1), (1, 2)])).congestion == 7.0
+        """
+    )
+    done = run_child(script)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("stub", ["scipy/__init__.py", "scipy.py"], ids=["empty-package", "plain-module"])
+def test_missing_highs_extension_is_an_import_error(tmp_path, stub):
+    # a scipy without the extension where flows looks for it, first on the path
+    (tmp_path / stub).parent.mkdir(exist_ok=True)
+    (tmp_path / stub).write_text("")
+    if stub == "scipy.py":
+        reason = "no scipy package found"
+    else:
+        reason = f"no _core extension in {tmp_path / 'scipy' / 'optimize' / '_highspy'}"
+    done = run_child("import colorcut.flows", tmp_path)
+    expected = f"ImportError: colorcut needs scipy>=1.15 for scipy.optimize._highspy._core; {reason}"
+    assert done.stderr.strip().splitlines()[-1] == expected, done.stderr
