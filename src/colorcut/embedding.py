@@ -402,7 +402,9 @@ def check_branch_sets(host: Graph, branch_sets, vertex_count: int, edges) -> Non
     nonempty branch set inside the host that induces a connected subgraph,
     and the branch sets of the two ends of every edge share a host vertex
     or are joined by a host edge. The message names the first vertex that
-    fails, and for it the first of these conditions."""
+    fails, and for it the first of these conditions, or else the first edge
+    that fails. One connected_in_subsets labelling answers both: two
+    connected sets touch exactly when their union is connected."""
     complaint, placed = None, vertex_count
     for v in range(vertex_count):
         bs = branch_sets.get(v)
@@ -415,17 +417,17 @@ def check_branch_sets(host: Graph, branch_sets, vertex_count: int, edges) -> Non
         if complaint is not None:
             placed = v
             break
-    # the branch sets of vertices 0..placed-1 are nonempty and in the host
-    connected = connected_in_subsets(host, [branch_sets[v] for v in range(placed)])
-    if not connected.all():
+    # branch sets 0..placed-1 are nonempty and in the host; edges wait for all
+    edges = list(edges) if complaint is None else []
+    unions = [branch_sets[u] | branch_sets[v] for u, v in edges]
+    connected = connected_in_subsets(host, [branch_sets[v] for v in range(placed)] + unions)
+    if not connected[:placed].all():
         complaint = f"branch set of {int(np.argmin(connected))} is not connected in the host"
+    elif not connected.all():
+        u, v = edges[int(np.argmin(connected)) - placed]
+        complaint = f"edge ({u}, {v}) does not touch in the host"
     if complaint is not None:
         raise InvalidEmbedding(complaint)
-    adj = host.adjacency()
-    for u, v in edges:
-        bu, bv = branch_sets[u], branch_sets[v]
-        if not (bu & bv) and not any((w in bv) for x in bu for w in adj[x]):
-            raise InvalidEmbedding(f"edge ({u}, {v}) does not touch in the host")
 
 
 def validate_embedding(emb: Embedding, graph: Graph) -> None:

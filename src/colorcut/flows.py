@@ -16,7 +16,8 @@ costs 10-15% of a solve at ell = 17-21. The LP goes to scipy's HiGHS
 bindings directly, as the column-wise matrix and with the options that
 scipy's linprog(method="highs", options={"presolve": False}) would pass:
 linprog's wrapper spends 3-5 ms a solve at ell = 17-21 building duals,
-basis statuses and a result object that nothing here reads. Each
+basis statuses and a result object that nothing here reads. The arrays go
+over in one passModel call (HighsLp field by field took 0.7 ms more). Each
 commodity's flow, taken out of the optimum as Python floats, is split into
 paths to its sinks by greedy walks that cancel each cycle they close.
 
@@ -76,6 +77,14 @@ def _load_highs():
 
 
 highs = _load_highs()
+
+# linprog(method="highs", options={"presolve": False})'s options
+_OPTIONS = highs.HighsOptions()
+_OPTIONS.presolve = "off"
+_OPTIONS.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+_OPTIONS.output_flag = False
+_OPTIONS.log_to_console = False
 
 _EPS = 1e-12
 # how far a decomposed pair's path weights may sum from 1 before the LP
@@ -223,31 +232,22 @@ def _solve_lp(ell: int, arcs) -> np.ndarray:
     vals = np.concatenate([np.full(enters.sum(), 2.0), np.ones(enters.sum()), -np.ones(leaves.sum()), -np.ones(ell)])
     # column-wise with rows ascending in each column, as linprog hands it over
     order = np.lexsort((rows, cols))
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = gamma_col + 1
-    lp.num_row_ = lp.a_matrix_.num_row_ = ell + (ell - 1) ** 2
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=gamma_col + 1))])
-    lp.a_matrix_.index_ = rows[order]
-    lp.a_matrix_.value_ = vals[order]
-    objective = np.zeros(gamma_col + 1)
-    objective[gamma_col] = 1.0
-    lp.col_cost_ = objective
-    lp.col_lower_ = np.zeros(gamma_col + 1)
-    lp.col_upper_ = np.full(gamma_col + 1, highs.kHighsInf)
-    lp.row_lower_ = np.concatenate([np.full(ell, -highs.kHighsInf), demand])
-    lp.row_upper_ = np.concatenate([2.0 * np.arange(ell) - 2 * (ell - 1) - 1, demand])
-    options = highs.HighsOptions()
-    options.presolve = "off"
-    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
-    options.output_flag = False
-    options.log_to_console = False
+    num_col = gamma_col + 1
+    start = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=num_col))]).astype(np.int32)
+    cost = (np.arange(num_col) == gamma_col).astype(float)
+    # passModel's array form; HiGHS rejects an empty integrality array
+    model = (
+        num_col, ell + (ell - 1) ** 2, len(order), highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
+        cost, np.zeros(num_col), np.full(num_col, highs.kHighsInf),
+        np.concatenate([np.full(ell, -highs.kHighsInf), demand]),
+        np.concatenate([2.0 * np.arange(ell) - 2 * (ell - 1) - 1, demand]),
+        start, rows[order].astype(np.int32), vals[order], np.zeros(num_col, dtype=np.int32),
+    )
     solver = highs._Highs()
     error = highs.HighsStatus.kError
     if (
-        solver.passOptions(options) == error
-        or solver.passModel(lp) == error
+        solver.passOptions(_OPTIONS) == error
+        or solver.passModel(*model) == error
         or solver.run() == error
         or solver.getModelStatus() != highs.HighsModelStatus.kOptimal
     ):

@@ -122,27 +122,31 @@ def parse_dcmc(text: str) -> DualCmcInstance:
 def _parse_dcmc_canonical(text: str) -> DualCmcInstance | None:
     """The instance that write_dcmc renders to exactly `text`, else None.
 
-    The header's integers and each block's numbers are read as tokens, and
-    the writer then decides the layout: a wrong keyword, label, count or
-    separator, an unsorted block and a value numpy clamps to the int64
+    The header's integers and each block's numbers are read as tokens, a
+    block's into its slice of one rows array sized by the `e` line count,
+    and the writer then decides the layout: a wrong keyword, label, count
+    or separator, an unsorted block and a value numpy clamps to the int64
     maximum all render differently. The render is compared piece by piece,
     so no second copy of the text is built."""
-    head, *chunks = text.split("\ng ")
-    graphs = []
+    rows = np.empty((text.count("\ne "), 2), dtype=np.int64)
+    offsets = [0]
+    cut = text.find("\ng ")
     try:
-        _, n, _, a = head.split(" ")
+        _, n, _, a = text[: cut if cut >= 0 else None].split(" ")
         with warnings.catch_warnings():
             # numpy warns, or raises, when a token is not an integer
             warnings.simplefilter("error", DeprecationWarning)
-            for chunk in chunks:
-                body = chunk.partition("\n")[2].replace("e", " ")
-                graphs.append(np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2))
-        dual = DualCmcInstance(int(n), tuple(graphs), int(a))
+            while cut >= 0:
+                end = text.find("\ng ", cut + 3)
+                body = text[cut + 3 : end if end >= 0 else None].partition("\n")[2]
+                block = np.fromstring(body.replace("e", " "), dtype=np.int64, sep=" ").reshape(-1, 2)
+                offsets.append(offsets[-1] + len(block))
+                rows[offsets[-2] : offsets[-1]] = block
+                cut = end
+        # from_rows refuses offsets that miss len(rows); an overrun may raise first
+        dual = DualCmcInstance.from_rows(int(n), rows, offsets, int(a))
     except (ValueError, DeprecationWarning):
         return None
-    # the split text and the block arrays are no longer needed; freeing them
-    # keeps the render's scratch arrays from raising the parse's peak memory
-    del chunks, graphs
     at = 0
     for piece in _dcmc_pieces(dual):
         if not text.startswith(piece, at):

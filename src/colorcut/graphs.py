@@ -44,13 +44,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
     def degrees(self) -> list[int]:
         deg = [0] * self.vertex_count
         for u, v in self.edges:

@@ -95,27 +95,27 @@ class ColoredMultigraph:
         return {c for u, v, c in self.edges if (u in s) != (v in s)}
 
 
+def _cut_color_counts(g: ColoredMultigraph, masks: np.ndarray) -> np.ndarray:
+    """Per mask, the number of colors with an edge across the cut, where
+    exactly one end has its mask bit (v >= 1 is bit v - 1; 0 has none).
+    Every edge uses one scratch array, freed before the witness selection."""
+    counts = np.zeros(len(masks), dtype=np.uint16)
+    scratch = np.empty_like(masks)
+    for _, es in itertools.groupby(sorted(g.edges, key=lambda e: e[2]), key=lambda e: e[2]):
+        crossed = np.zeros(len(masks), dtype=bool)
+        for u, v, _ in es:
+            np.bitwise_and(masks, np.uint32(sum(1 << (w - 1) for w in (u, v) if w)), out=scratch)
+            crossed |= np.bitwise_count(scratch, out=scratch) == 1
+        counts += crossed
+    return counts
+
+
 def _cmc_minimum(g: ColoredMultigraph) -> tuple[int, tuple[int, ...]]:
     """Minimum cut-color count over all proper cuts, plus the optimal side
     that is smallest under (size, lexicographic) order. Requires n >= 2."""
     n = g.vertex_count
-    nmasks = 1 << (n - 1)
-    masks = np.arange(nmasks, dtype=np.uint32)
-    counts = np.zeros(nmasks, dtype=np.uint16)
-    by_color: dict[int, list[tuple[int, int]]] = {}
-    for u, v, c in g.edges:
-        by_color.setdefault(c, []).append((u, v))
-
-    def side_bits(vertex: int) -> np.ndarray:
-        if vertex == 0:
-            return np.zeros(nmasks, dtype=np.uint32)
-        return (masks >> np.uint32(vertex - 1)) & np.uint32(1)
-
-    for _, es in sorted(by_color.items()):
-        crossed = np.zeros(nmasks, dtype=bool)
-        for u, v in es:
-            crossed |= side_bits(u) != side_bits(v)
-        counts += crossed
+    masks = np.arange(1 << (n - 1), dtype=np.uint32)
+    counts = _cut_color_counts(g, masks)
     counts[0] = g.p + 1  # mask 0 is the empty side, not a proper cut
     best = int(counts.min())
     # the side without vertex 0 holds vertex v >= 1 as mask bit v - 1; it

@@ -9,7 +9,8 @@ domains built member by member, one LP commodity per vertex pair instead of
 per source, scipy's public linprog instead of the direct HiGHS call, gadget edges placed digit by digit instead of broadcast from
 one star. Any disagreement points at a bug on one of the two sides.
 UnionFind lives only here, as the reference that graphs.component_labels,
-is_connected and connected_in_subsets are tested against.
+is_connected and connected_in_subsets are tested against; so does touches,
+the neighbourhood scan that embedding.check_branch_sets is tested against.
 
 Also here: checks and generators only tests need (exact separation
 sparsity, gadget vertex decoding, uniform random simple graphs, maximum
@@ -82,6 +83,16 @@ def bfs_component_count(vertex_count, edges):
                     seen[x] = True
                     queue.append(x)
     return count
+
+
+def touches(host, bu, bv):
+    """Do two vertex sets of the host share a vertex or meet along a host
+    edge? A scan of the neighbourhood of every vertex of bu."""
+    adj = [[] for _ in range(host.vertex_count)]
+    for u, v in host.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return bool(bu & bv) or any(w in bv for x in bu for w in adj[x])
 
 
 def cmc_best_cut_colors(g):

@@ -1,20 +1,25 @@
 import math
 import random
+import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import oracles
+from colorcut import graphs
 from colorcut.config import RunConfig
 from colorcut.embedding import (
     DEFAULT_BIG_C_HAT,
     Embedding,
     EmbeddingFailed,
     ExpansionTargetUnmet,
+    InvalidEmbedding,
     InvalidK,
     audit_congestion,
     build_expander,
+    check_branch_sets,
     clear_flow_cache,
     depth_bound,
     edge_expansion_exhaustive,
@@ -279,6 +284,101 @@ def test_validate_embedding_catches_corruption():
     )
     with pytest.raises(ValueError, match="not balanced"):
         validate_embedding(lopsided, C5)
+
+
+def _two_step_complaint(host, branch_sets, vertex_count, edges):
+    """check_branch_sets' message, or None, from two separate steps on the
+    oracles: each vertex in order (present, nonempty, inside the host,
+    connected by BFS), then each edge in the given order (oracles.touches)."""
+    for v in range(vertex_count):
+        bs = branch_sets.get(v)
+        if bs is None:
+            return f"no branch set for vertex {v}"
+        if not bs:
+            return f"empty branch set for vertex {v}"
+        if any(not 0 <= w < host.vertex_count for w in bs):
+            return f"branch set of {v} leaves the host"
+        rank = {w: i for i, w in enumerate(sorted(bs))}
+        induced = [(rank[x], rank[y]) for x, y in host.edges if x in bs and y in bs]
+        if oracles.bfs_component_count(len(rank), induced) != 1:
+            return f"branch set of {v} is not connected in the host"
+    for u, v in edges:
+        if not oracles.touches(host, branch_sets[u], branch_sets[v]):
+            return f"edge ({u}, {v}) does not touch in the host"
+    return None
+
+
+def _grown_set(host, size, rng):
+    """A connected vertex set of the host, grown from a random vertex by
+    random neighbours, of at most the given size."""
+    grown = {rng.randrange(host.vertex_count)}
+    while len(grown) < size:
+        rim = sorted({w for e in host.edges for w in e if set(e) & grown} - grown)
+        if not rim:
+            break
+        grown.add(rng.choice(rim))
+    return frozenset(grown)
+
+
+def test_check_branch_sets_matches_the_two_step_reference():
+    rng = random.Random(24)
+    seen = Counter()
+    for _ in range(1500):
+        ell = rng.randint(1, 9)
+        host = oracles.random_simple_graph(ell, rng.randint(0, min(ell * (ell - 1) // 2, 2 * ell)), rng)
+        n = rng.randint(1, 6)
+        graph = oracles.random_simple_graph(n, rng.randint(0, n * (n - 1) // 2), rng)
+        branch_sets = {}
+        for v in range(n):
+            roll = rng.random()
+            if roll < 0.02:
+                continue  # missing
+            if roll < 0.04:
+                branch_sets[v] = frozenset()
+            elif roll < 0.06:
+                branch_sets[v] = frozenset({rng.randrange(ell), rng.choice([-1, ell])})
+            elif roll < 0.2:
+                branch_sets[v] = frozenset(rng.sample(range(ell), rng.randint(1, ell)))
+            else:
+                branch_sets[v] = _grown_set(host, rng.randint(1, 3), rng)
+        # edges in a shuffled order, some of them reversed
+        edges = [e[::-1] if rng.random() < 0.3 else e for e in rng.sample(graph.edges, graph.edge_count)]
+        expected = _two_step_complaint(host, branch_sets, n, edges)
+        try:
+            check_branch_sets(host, branch_sets, n, edges)
+            got = None
+        except InvalidEmbedding as exc:
+            got = str(exc)
+        assert got == expected, (host, branch_sets, edges)
+        seen[re.sub(r"[-\d]+", "#", got or "valid")] += 1
+    assert set(seen) == {
+        "no branch set for vertex #",
+        "empty branch set for vertex #",
+        "branch set of # leaves the host",
+        "branch set of # is not connected in the host",
+        "edge (#, #) does not touch in the host",
+        "valid",
+    }, seen
+    assert min(seen.values()) >= 20, seen
+
+
+def test_check_branch_sets_runs_one_labelling(monkeypatch):
+    calls = []
+    labels = graphs.component_labels
+
+    def counted(*args):
+        calls.append(args)
+        return labels(*args)
+
+    monkeypatch.setattr(graphs, "component_labels", counted)
+    base = embed(C5, 12, seed=0)
+    check_branch_sets(base.host, base.branch_sets, C5.vertex_count, C5.edges)
+    assert len(calls) == 1
+    # a failing edge is found by that same labelling
+    moved = {**base.branch_sets, 0: frozenset({3})}
+    with pytest.raises(InvalidEmbedding, match=r"^edge \(0, 1\) does not touch in the host$"):
+        check_branch_sets(base.host, moved, C5.vertex_count, C5.edges)
+    assert len(calls) == 2
 
 
 def test_expander_flow_cache():

@@ -141,7 +141,7 @@ def test_solve_lp_stops_when_highs_rejects_its_input(monkeypatch, step):
         def run(self):
             raise AssertionError("solved after HiGHS rejected its input")
 
-    setattr(Rejecting, step, lambda self, _: flows.highs.HighsStatus.kError)
+    setattr(Rejecting, step, lambda self, *_: flows.highs.HighsStatus.kError)
     monkeypatch.setattr(flows.highs, "_Highs", Rejecting)
     graph = build_expander(5).graph
     arcs = [arc for u, v in graph.edges for arc in ((u, v), (v, u))]

@@ -1,6 +1,7 @@
 import random
 import re
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,28 @@ def test_dcmc_fast_path_checks_bytes():
     assert formats._parse_dcmc_canonical(clamped) is None
     with pytest.raises(FormatError, match="beyond the int64 range"):
         parse_dcmc(clamped)
+
+
+def test_dcmc_fast_path_reads_the_rows_once():
+    # the top sat-chain rung: 144 blocks, 128,592 rows (2.06 MB as int64).
+    # Reading each block into one rows array peaks near the rows; a list of
+    # per-block arrays and its concatenation, beside the split text, took
+    # 5.9 MB
+    n = 144
+    blocks = (tuple(range(n)), tuple(range(n, 2 * n)))
+    admissible = sorted((u, v) for u in blocks[0] for v in blocks[1])
+    host = frozenset(random.Random(n).sample(admissible, n))
+    dual = reduce_psi_to_dcmc(PsiInstance(2, ((0, 1),), n, blocks, host)).dual
+    assert dual.p == 144 and len(dual.edges) == 128_592
+    text = write_dcmc(dual)
+    tracemalloc.start()
+    try:
+        parsed = parse_dcmc(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == dual
+    assert peak < 4_500_000
 
 
 def _dual_of_sizes(sizes, rng):

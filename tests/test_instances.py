@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -115,6 +116,20 @@ def test_cmc_minimum_matches_the_mask_loop():
             edges.append((u, v, rng.randint(1, p)))
         g = ColoredMultigraph(n, tuple(edges), p, p).canonical()
         assert _cmc_minimum(g) == oracles.cmc_minimum_loop(g)
+
+
+def test_cmc_minimum_counts_cuts_with_one_scratch_array():
+    # 2^21 masks: counting holds 8 MiB of uint32 masks, 4 MiB of counts and
+    # one 8 MiB scratch array, and the call peaks at 26 MiB in the witness
+    # selection; two full-width side arrays per edge took it to 32 MiB
+    g = ColoredMultigraph(22, ((0, 1, 1),), 1, 1)
+    tracemalloc.start()
+    try:
+        assert _cmc_minimum(g)[0] == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 29 * 2**20
 
 
 def test_cmc_witness_is_smallest_side():
