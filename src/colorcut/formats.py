@@ -123,16 +123,20 @@ def _parse_dcmc_canonical(text: str) -> DualCmcInstance | None:
     """The instance that write_dcmc renders to exactly `text`, else None.
 
     The header's integers and each block's numbers are read as tokens, a
-    block's into its slice of one rows array sized by the `e` line count,
-    and the writer then decides the layout: a wrong keyword, label, count
-    or separator, an unsorted block and a value numpy clamps to the int64
-    maximum all render differently. The render is compared piece by piece,
-    so no second copy of the text is built."""
-    rows = np.empty((text.count("\ne "), 2), dtype=np.int64)
+    block's into its slice of one rows array, and the writer then decides
+    the layout: a wrong keyword, label, count or separator, an unsorted
+    block and a value numpy clamps to the int64 maximum all render
+    differently. The render is compared piece by piece, so no second copy
+    of the text is built."""
+    lines = text.count("\n")
     offsets = [0]
     cut = text.find("\ng ")
     try:
-        _, n, _, a = text[: cut if cut >= 0 else None].split(" ")
+        _, n, p, a = text[: cut if cut >= 0 else None].split(" ")
+        if not 0 <= int(p) < lines:
+            return None
+        # the header, each block label and each row hold one line apiece
+        rows = np.empty((lines - 1 - int(p), 2), dtype=np.int64)
         with warnings.catch_warnings():
             # numpy warns, or raises, when a token is not an integer
             warnings.simplefilter("error", DeprecationWarning)

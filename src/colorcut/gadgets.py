@@ -16,7 +16,7 @@ with per-coordinate digits d_1..d_a (digit = residue * (b+1) + tier) is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +27,9 @@ HUB = 0
 # rows (before repeats are dropped) that the color graphs of one reduction
 # may hold together: 4x the largest dual the test and benchmark suites build
 DEFAULT_DUAL_ROW_CAP = 2 * 10**6
+# (rho, a, b, h) keys whose gadget layouts stay built: the exhaustive gadget
+# family has 4 and the sat-chain benchmark rungs 7
+_LAYOUT_CACHE_SIZE = 16
 
 
 class PatternDisconnected(Exception):
@@ -136,33 +139,19 @@ class GadgetParams:
         rank = sum(r * self.rho**i for i, r in enumerate(self.f_maps[x][host_vertex]))
         return int(self.hat_blocks[x, rank])
 
-    @cached_property
-    def block_starts(self) -> np.ndarray:
-        """First vertex of each block, 1 + x * block_span."""
-        return 1 + np.arange(self.h, dtype=np.int64) * self.block_span
-
-    @cached_property
+    @property
     def hat_blocks(self) -> np.ndarray:
         """All-tier-zero vertices of each block: row x holds block x's rho^a
         vertices, ascending, so the hat with residues r_1..r_a sits at rank
         sum_i r_i * rho^(i-1)."""
-        offsets = np.zeros(1, dtype=np.int64)
-        for i in range(self.a):
-            weight = (self.b + 1) * self.base**i
-            offsets = (np.arange(self.rho, dtype=np.int64)[:, None] * weight + offsets).ravel()
-        return self.block_starts[:, None] + offsets
+        return _layout(self.rho, self.a, self.b, self.h)[0]
 
-    @cached_property
+    @property
     def anchors(self) -> np.ndarray:
         """Row alpha - 1 holds the padding anchors of pattern edge alpha: in
         every block, each setting of the coordinates other than alpha, with
         alpha's digit at (0, 0)."""
-        return np.array(
-            [
-                (self.block_starts[:, None] + _free_offsets(self, alpha)).ravel()
-                for alpha in range(1, self.a + 1)
-            ]
-        )
+        return _layout(self.rho, self.a, self.b, self.h)[1]
 
     @property
     def rows_per_color(self) -> int:
@@ -178,14 +167,28 @@ class GadgetParams:
         return self.f_maps[x][v_x] + self.f_maps[y][v_y]
 
 
-def _free_offsets(params: GadgetParams, alpha: int) -> np.ndarray:
-    """Encoded offsets of every setting of the coordinates other than alpha."""
-    offsets = np.zeros(1, dtype=np.int64)
-    digits = np.arange(params.base, dtype=np.int64)
-    for i in range(params.a):
-        if i != alpha - 1:
-            offsets = (offsets[:, None] + digits * params.base**i).ravel()
-    return offsets
+@lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def _layout(rho: int, a: int, b: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """GadgetParams.hat_blocks and GadgetParams.anchors, read-only. They
+    depend on (rho, a, b, h) alone, which few reductions tell apart."""
+    base = rho * (b + 1)
+    starts = 1 + np.arange(h, dtype=np.int64)[:, None] * base**a
+    hats = np.zeros(1, dtype=np.int64)
+    for i in range(a):
+        hats = (np.arange(rho, dtype=np.int64)[:, None] * ((b + 1) * base**i) + hats).ravel()
+    digits = np.arange(base, dtype=np.int64)
+    anchors = []
+    for alpha in range(1, a + 1):
+        # every setting of the coordinates other than alpha
+        free = np.zeros(1, dtype=np.int64)
+        for i in range(a):
+            if i != alpha - 1:
+                free = (free[:, None] + digits * base**i).ravel()
+        anchors.append((starts + free).ravel())
+    layout = starts + hats, np.array(anchors)
+    for array in layout:
+        array.flags.writeable = False
+    return layout
 
 
 def build_gadgets(colors, params: GadgetParams) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +230,7 @@ def build_gadgets(colors, params: GadgetParams) -> tuple[np.ndarray, np.ndarray]
     hats = params.hat_blocks[table[:, 1:3]]  # (p, 2, rho^a)
     # an endpoint's image is the hat at the rank of its field vector
     ranks = g.reshape(p, 2, a) @ rho ** np.arange(a)
-    ends = np.take_along_axis(hats, ranks[:, :, None], axis=2)[:, :, 0]
+    ends = hats[np.arange(p)[:, None], np.arange(2), ranks]
     hubs = hats[hats != ends[:, :, None]].reshape(p, -1)
 
     # the padding stars as (lo, hi) offsets from their anchor

@@ -67,21 +67,24 @@ def component_labels(vertex_count: int, edges: np.ndarray) -> tuple[int, np.ndar
     differ to the smallest label it meets, then pointer-jumps until every
     label is a root. Labels only decrease and stay inside their component;
     the smallest vertex of a component is always its own root, so once no
-    edge joins two labels each component carries that vertex's id."""
+    edge joins two labels each component carries that vertex's id. Every
+    vertex starts as its own label, so round 1 hooks the rows as given;
+    later rounds keep only the rows whose endpoint labels still differ."""
     labels = np.arange(vertex_count)
     u, v = edges[:, 0], edges[:, 1]
+    lu, lv = u, v
     while True:
-        lu, lv = labels[u], labels[v]
-        differ = lu != lv
-        if not differ.any():
-            break
-        u, v, lu, lv = u[differ], v[differ], lu[differ], lv[differ]
         np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
         while True:
             jumped = labels[labels]
             if (jumped == labels).all():
                 break
             labels = jumped
+        lu, lv = labels[u], labels[v]
+        differ = lu != lv
+        if not differ.any():
+            break
+        u, v, lu, lv = u[differ], v[differ], lu[differ], lv[differ]
     return int(np.count_nonzero(labels == np.arange(vertex_count))), labels
 
 

@@ -124,6 +124,7 @@ def _cmc_minimum(g: ColoredMultigraph) -> tuple[int, tuple[int, ...]]:
     # in place in uint8 and uint32 arrays, so that the selection holds a few
     # bytes per optimal mask, not a full-width key
     optimal = masks[counts == best]
+    del masks, counts  # the selection needs only the optimal masks
     size = np.zeros(len(optimal), dtype=np.uint8)
     weight = np.zeros(len(optimal), dtype=np.uint32)
     bit = np.empty_like(optimal)

@@ -204,14 +204,11 @@ def check_gadget_instance(inst: PsiInstance, cfg: RunConfig) -> dict:
     )
 
     # any two distinct gadgets for the same pattern edge reconnect everything
-    pairs_ok = True
     by_alpha: dict[int, list[int]] = {}
-    for idx, (alpha, _, _) in enumerate(reduction.color_map):
+    for idx, (alpha, _, _) in enumerate(reduction.color_map, start=1):
         by_alpha.setdefault(alpha, []).append(idx)
-    for indices in by_alpha.values():
-        for i, j in itertools.combinations(indices, 2):
-            if component_labels(dual.vertex_count, dual.union((i + 1, j + 1)))[0] != 1:
-                pairs_ok = False
+    selections = [pair for ids in by_alpha.values() for pair in itertools.combinations(ids, 2)]
+    pair_count = len(selections)
     psi_answer = solve_psi_bruteforce(inst, cfg.cap_psi_assignments)
     dual_answer = solve_dual_bruteforce(dual, cfg.cap_dual_combinations)
     equiv_ok = psi_answer.decision == dual_answer.decision
@@ -225,18 +222,29 @@ def check_gadget_instance(inst: PsiInstance, cfg: RunConfig) -> dict:
         else:
             decode_ok = psi_selection_ok(inst, selection)
 
-    forward_ok = True
+    # the PSI witness's gadgets must cut the hub away from its images
     if psi_answer.decision:
         pick = psi_answer.witness
         index_of = {cm: i + 1 for i, cm in enumerate(reduction.color_map)}
-        chosen = []
-        for alpha, (x, y) in enumerate(params.edge_order, start=1):
-            chosen.append(index_of[(alpha, pick[x], pick[y])])
-        count, labels = component_labels(dual.vertex_count, dual.union(chosen))
-        # the selected images must sit together, away from the hub
-        roots = {labels[params.hat_vertex(x, pick[x])] for x in range(params.h)}
-        if count < 2 or len(roots) != 1 or labels[HUB] in roots:
-            forward_ok = False
+        edges = enumerate(params.edge_order, start=1)
+        selections.append([index_of[(alpha, pick[x], pick[y])] for alpha, (x, y) in edges])
+
+    # one labelling for every selection: union q sits on vertices q * W to
+    # q * W + W - 1, so its labels less q * W are its own labelling
+    pairs_ok = forward_ok = True
+    if selections:
+        w = dual.vertex_count
+        rows = np.concatenate([dual.union(sel) + q * w for q, sel in enumerate(selections)])
+        labels = component_labels(len(selections) * w, rows)[1].reshape(-1, w)
+        labels -= (np.arange(len(selections)) * w)[:, None]
+        # a union is connected when every label is its smallest vertex, 0
+        pairs_ok = not labels[:pair_count].any()
+        if psi_answer.decision:
+            forward = labels[-1]
+            count = np.count_nonzero(forward == np.arange(w))
+            # the selected images must sit together, away from the hub
+            roots = {forward[params.hat_vertex(x, pick[x])] for x in range(params.h)}
+            forward_ok = not (count < 2 or len(roots) != 1 or forward[HUB] in roots)
 
     return {
         "reduction": reduction,

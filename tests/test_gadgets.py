@@ -146,6 +146,25 @@ def test_hat_block_and_hat_vertex():
             for v, vec in fmap.items():
                 digits = [oracles.digit(q, r, 0) for r in vec]
                 assert q.hat_vertex(x, v) == oracles.coord_vertex(q, x, digits)
+        # every hat, at its rank, is the oracle's all-tier-zero vertex
+        for x in range(q.h):
+            for rank, residues in enumerate(itertools.product(range(q.rho), repeat=q.a)):
+                digits = [oracles.digit(q, r, 0) for r in reversed(residues)]
+                assert q.hat_blocks[x, rank] == oracles.coord_vertex(q, x, digits)
+
+
+def test_layout_is_built_once_per_key():
+    inst = PsiInstance(3, ((0, 1), (1, 2)), 3, _blocks(3, 3), frozenset())
+    first, again = _params(inst, 3), _params(inst, 3)
+    assert first is not again
+    assert first.hat_blocks is again.hat_blocks and first.anchors is again.anchors
+    assert not first.hat_blocks.flags.writeable and not first.anchors.flags.writeable
+    # another rho, or another pattern with the same rho, lays out other blocks
+    one_edge = PsiInstance(2, ((0, 1),), 2, _blocks(2, 2), frozenset())
+    for other in (_params(inst, 5), _params(one_edge, 3)):
+        assert other.hat_blocks is not first.hat_blocks
+        assert not np.array_equal(other.hat_blocks, first.hat_blocks)
+        assert not np.array_equal(other.anchors, first.anchors)
 
 
 def test_host_edge_with_its_lower_vertex_in_the_later_block():

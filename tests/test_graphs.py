@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -24,6 +25,8 @@ from colorcut.graphs import (
     is_connected,
     random_max_degree3_graph,
 )
+from colorcut.gadgets import reduce_psi_to_dcmc
+from colorcut.verify import exhaustive_gadget_family
 
 
 def test_make_normalizes_and_dedupes():
@@ -109,6 +112,14 @@ def test_component_labels_any_rows():
         rows += rng.sample(rows, len(rows) // 3)
         check_component_labels(n, rows)
     check_component_labels(4, [(3, 1), (1, 3), (3, 3), (2, 0), (2, 0)])
+    # every pair union of the largest family dual, hub edges repeated
+    largest = max(
+        exhaustive_gadget_family(),
+        key=lambda inst: (len(inst.pattern_edges), inst.block_size, len(inst.host_edges)),
+    )
+    dual = reduce_psi_to_dcmc(largest).dual
+    for pair in itertools.combinations(range(1, dual.p + 1), 2):
+        check_component_labels(dual.vertex_count, dual.union(pair).tolist())
 
 
 def test_component_labels_without_edges():
@@ -124,6 +135,7 @@ def test_component_labels_adversarial_shapes():
     random.Random(11).shuffle(order)
     check_component_labels(n, list(zip(order, order[1:])))  # path in random id order
     check_component_labels(50, [(49, v) for v in range(49)])  # centre has the highest id
+    check_component_labels(50, [(0, v) for v in range(1, 50)])  # centre has the lowest id
     spine = list(range(99, 49, -1))  # a descending spine, one smaller leaf on each
     caterpillar = list(zip(spine, spine[1:])) + [(s, s - 50) for s in spine]
     check_component_labels(100, caterpillar)

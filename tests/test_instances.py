@@ -120,8 +120,8 @@ def test_cmc_minimum_matches_the_mask_loop():
 
 def test_cmc_minimum_counts_cuts_with_one_scratch_array():
     # 2^21 masks: counting holds 8 MiB of uint32 masks, 4 MiB of counts and
-    # one 8 MiB scratch array, and the call peaks at 26 MiB in the witness
-    # selection; two full-width side arrays per edge took it to 32 MiB
+    # one 8 MiB scratch array; two full-width side arrays per edge took the
+    # call to 32 MiB
     g = ColoredMultigraph(22, ((0, 1, 1),), 1, 1)
     tracemalloc.start()
     try:
@@ -130,6 +130,20 @@ def test_cmc_minimum_counts_cuts_with_one_scratch_array():
     finally:
         tracemalloc.stop()
     assert peak < 29 * 2**20
+
+
+def test_cmc_minimum_frees_the_masks_before_the_selection():
+    # half of the 2^21 masks are optimal; with masks and counts kept, the
+    # selection's optimal, weight and bit arrays took the call to 26 MiB,
+    # above the counting loop's 24 MiB
+    g = ColoredMultigraph(22, ((0, 1, 1),), 1, 1)
+    tracemalloc.start()
+    try:
+        assert _cmc_minimum(g) == (0, (2,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2**20
 
 
 def test_cmc_witness_is_smallest_side():

@@ -2,13 +2,19 @@ import itertools
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from colorcut import verify
 from colorcut.config import RunConfig
 from colorcut.embedding import ExpansionTargetUnmet
-from colorcut.gadgets import WitnessDecodeError
-from colorcut.instances import PsiInstance, solve_sat_bruteforce
+from colorcut.gadgets import HUB, WitnessDecodeError
+from colorcut.instances import (
+    DualCmcInstance,
+    PsiInstance,
+    solve_psi_bruteforce,
+    solve_sat_bruteforce,
+)
 from colorcut.verify import (
     EXHAUSTIVE_PATTERNS,
     all_clauses,
@@ -127,6 +133,73 @@ def test_check_gadget_instance_decode_errors(monkeypatch):
     monkeypatch.setattr(verify, "decode_dual_witness", _raise(IndexError("bug")))
     with pytest.raises(IndexError):
         check_gadget_instance(YES_PSI, CFG)
+
+
+def _reduce_with(monkeypatch, edit):
+    """Make check_gadget_instance see reduce_psi_to_dcmc's output with color
+    graphs edit(reduction, graphs) in place of the dual's own."""
+    reduce = verify.reduce_psi_to_dcmc
+
+    def edited(inst):
+        red = reduce(inst)
+        graphs = edit(red, list(red.dual.color_graphs))
+        dual = DualCmcInstance(red.dual.vertex_count, tuple(graphs), red.dual.a)
+        return replace(red, dual=dual)
+
+    monkeypatch.setattr(verify, "reduce_psi_to_dcmc", edited)
+
+
+def test_check_gadget_instance_pair_that_stays_split(monkeypatch):
+    # a gadget stripped down to its selection edge leaves the other gadget's
+    # selected images apart from the hub, so that pair fails and only it
+    def strip(red, graphs):
+        _, v_x, v_y = red.color_map[0]
+        graphs[0] = [(red.params.hat_vertex(0, v_x), red.params.hat_vertex(1, v_y))]
+        return graphs
+
+    _reduce_with(monkeypatch, strip)
+    result = check_gadget_instance(YES_PSI, CFG)
+    assert result["pairs_ok"] is False
+    assert result["forward_ok"] is True
+
+
+def test_check_gadget_instance_selection_that_stays_connected(monkeypatch):
+    # hub edges to every vertex in the gadget the PSI witness selects connect
+    # its union, so the forward check fails while every pair still connects
+    pick = solve_psi_bruteforce(YES_PSI).witness
+
+    def connect(red, graphs):
+        i = red.color_map.index((1, *pick))
+        hub = [(HUB, w) for w in range(1, red.dual.vertex_count)]
+        graphs[i] = np.concatenate([graphs[i], hub])
+        return graphs
+
+    _reduce_with(monkeypatch, connect)
+    result = check_gadget_instance(YES_PSI, CFG)
+    assert result["forward_ok"] is False
+    assert result["pairs_ok"] is True
+
+
+def test_check_gadget_instance_labels_once(monkeypatch):
+    calls = []
+    labels = verify.component_labels
+
+    def counted(*args):
+        calls.append(args)
+        return labels(*args)
+
+    monkeypatch.setattr(verify, "component_labels", counted)
+    # the one pair and the PSI witness's selection share one labelling
+    result = check_gadget_instance(YES_PSI, CFG)
+    assert result["pairs_ok"] and result["forward_ok"]
+    assert len(calls) == 1
+    w = result["reduction"].dual.vertex_count
+    assert calls[0][0] == 2 * w
+    # no host edge: no pair, a no answer, and nothing to label
+    empty = replace(YES_PSI, host_edges=frozenset())
+    result = check_gadget_instance(empty, CFG)
+    assert not result["psi_decision"] and result["pairs_ok"] and result["forward_ok"]
+    assert len(calls) == 1
 
 
 def test_check_gadget_instance_sample_of_family():
