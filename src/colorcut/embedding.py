@@ -412,7 +412,7 @@ def check_branch_sets(host: Graph, branch_sets, vertex_count: int, edges) -> Non
             complaint = f"no branch set for vertex {v}"
         elif not bs:
             complaint = f"empty branch set for vertex {v}"
-        elif any(not 0 <= w < host.vertex_count for w in bs):
+        elif min(bs) < 0 or max(bs) >= host.vertex_count:
             complaint = f"branch set of {v} leaves the host"
         if complaint is not None:
             placed = v

@@ -11,17 +11,28 @@ selection.
 Vertices of the output are integers: 0 is the hub; the vertex of block z
 with per-coordinate digits d_1..d_a (digit = residue * (b+1) + tier) is
 1 + z*(rho*(b+1))^a + sum_i d_i * (rho*(b+1))^(i-1).
+
+A reduction reuses what earlier reductions built from the same inputs:
+_pattern keeps a pattern's connectivity check, prime, field maps and
+lookup tables per (h, pattern edges, block size, blocks); _layout keeps the
+hat blocks and padding anchors per (rho, a, b, h); and build_gadgets keeps
+the rows of up to _GADGET_CACHE_SIZE color graphs, each keyed by
+(rho, a, b, h, alpha, pattern edge alpha, g), which fixes every row. Every
+cached array and map is read-only.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
 from .graphs import is_connected
-from .instances import CapExceeded, DualCmcInstance, PsiInstance
+from .instances import CapExceeded, DualCmcInstance, PsiInstance, _concatenate
 
 HUB = 0
 # rows (before repeats are dropped) that the color graphs of one reduction
@@ -30,6 +41,14 @@ DEFAULT_DUAL_ROW_CAP = 2 * 10**6
 # (rho, a, b, h) keys whose gadget layouts stay built: the exhaustive gadget
 # family has 4 and the sat-chain benchmark rungs 7
 _LAYOUT_CACHE_SIZE = 16
+# (pattern, blocks) keys whose reduction parameters stay built: the family
+# has 8 and the sat-chain benchmark rungs 7
+_PATTERN_CACHE_SIZE = 16
+# color graphs whose rows stay built: the exhaustive gadget family has 25
+# distinct ones. A reduction with more colors than this bypasses the cache,
+# since its own rows would evict each other before any could be reused.
+_GADGET_CACHE_SIZE = 32
+_gadget_rows: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
 
 class PatternDisconnected(Exception):
@@ -98,16 +117,17 @@ def _index_to_vector(i: int, rho: int, a: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def build_f_maps(inst: PsiInstance, rho: int) -> tuple[dict[int, tuple[int, ...]], ...]:
+def build_f_maps(blocks, a: int, rho: int) -> tuple[Mapping[int, tuple[int, ...]], ...]:
     """Per-block injections into nonzero field vectors of length a, assigned
-    in lexicographic target order along each block's ascending vertices."""
-    a = len(inst.pattern_edges)
-    if (rho - 1) ** a < inst.block_size:
-        raise ValueError(f"(rho-1)^a = {(rho - 1) ** a} cannot cover {inst.block_size} vertices")
-    maps = []
-    for block in inst.blocks:
-        maps.append({v: _index_to_vector(i, rho, a) for i, v in enumerate(block)})
-    return tuple(maps)
+    in lexicographic target order along each block's ascending vertices.
+    The maps are read-only."""
+    size = max(map(len, blocks), default=0)
+    if (rho - 1) ** a < size:
+        raise ValueError(f"(rho-1)^a = {(rho - 1) ** a} cannot cover {size} vertices")
+    return tuple(
+        MappingProxyType({v: _index_to_vector(i, rho, a) for i, v in enumerate(block)})
+        for block in blocks
+    )
 
 
 @dataclass(frozen=True)
@@ -119,7 +139,7 @@ class GadgetParams:
     b: int
     h: int
     edge_order: tuple[tuple[int, int], ...]
-    f_maps: tuple[dict[int, tuple[int, ...]], ...]
+    f_maps: tuple[Mapping[int, tuple[int, ...]], ...]
 
     @property
     def base(self) -> int:
@@ -204,10 +224,12 @@ def build_gadgets(colors, params: GadgetParams) -> tuple[np.ndarray, np.ndarray]
       residue r a star from center (r, 0) to ((r + g_i) mod rho, i) for
       every position i of the combined vector g of the selected endpoints.
 
-    Every color has params.rows_per_color rows before repeats are dropped,
-    so the keys u * N + v of all colors form one (colors, rows) array that
-    is sorted row by row. Raises CapExceeded when the colors hold more than
-    DEFAULT_DUAL_ROW_CAP rows in all, before anything is allocated.
+    So (rho, a, b, h), alpha, pattern edge alpha and g fix a color's rows.
+    Up to _GADGET_CACHE_SIZE colors under that key are kept, least recently
+    used first out; the colors not kept are built together. Raises
+    CapExceeded when the colors hold more than DEFAULT_DUAL_ROW_CAP rows in
+    all (params.rows_per_color each), before anything is looked up or
+    allocated.
     """
     p = len(colors)
     rows = p * params.rows_per_color
@@ -215,8 +237,36 @@ def build_gadgets(colors, params: GadgetParams) -> tuple[np.ndarray, np.ndarray]
         raise CapExceeded(f"{rows} gadget rows exceed the dual cap {DEFAULT_DUAL_ROW_CAP}")
     if p == 0:
         return np.empty((0, 2), dtype=np.int64), np.zeros(1, dtype=np.int64)
-    # N = 1 + anchors * rho * (b + 1) < 2 * rows_per_color <= 2 * rows, so
-    # under the cap every key u * N + v fits in int64
+    if p > _GADGET_CACHE_SIZE:
+        return _build_gadgets(colors, params)
+    shape = (params.rho, params.a, params.b, params.h)
+    keys = [(*shape, c[0], params.edge_order[c[0] - 1], params.g_vector(*c)) for c in colors]
+    blocks = [_gadget_rows.get(key) for key in keys]
+    missing = [i for i, block in enumerate(blocks) if block is None]
+    if missing:
+        edges, offsets = _build_gadgets([colors[i] for i in missing], params)
+        bounds = offsets.tolist()
+        for i, lo, hi in zip(missing, bounds, bounds[1:]):
+            # a copy, so that an entry holds its own rows and no others
+            block = blocks[i] = edges[lo:hi].copy()
+            block.flags.writeable = False
+            _gadget_rows[keys[i]] = block
+    for key in keys:
+        _gadget_rows.move_to_end(key)
+    while len(_gadget_rows) > _GADGET_CACHE_SIZE:
+        _gadget_rows.popitem(last=False)
+    return _concatenate(blocks)
+
+
+def _build_gadgets(colors, params: GadgetParams) -> tuple[np.ndarray, np.ndarray]:
+    """build_gadgets for one or more colors, without the cache or the cap.
+
+    Every color has params.rows_per_color rows before repeats are dropped,
+    so the keys u * N + v of all colors form one (colors, rows) array that
+    is sorted row by row."""
+    p = len(colors)
+    # N = 1 + anchors * rho * (b + 1) < 2 * rows_per_color, so under the
+    # cap every key u * N + v fits in int64
     n, rho, a, b = params.vertex_count, params.rho, params.a, params.b
     # one row per color: alpha, its pattern edge (x, y), the combined field
     # vector g
@@ -284,21 +334,9 @@ def reduce_psi_to_dcmc(inst: PsiInstance) -> PsiReduction:
     Raises CapExceeded when the color graphs would hold more than
     DEFAULT_DUAL_ROW_CAP rows (build_gadgets).
     """
-    h = inst.pattern_vertex_count
-    a = len(inst.pattern_edges)
-    if a == 0 or not is_connected(h, inst.pattern_edges):
-        raise PatternDisconnected("pattern must be connected with at least one edge")
-    rho = choose_prime(inst.block_size, a)
-    params = GadgetParams(
-        rho=rho,
-        a=a,
-        b=2 * a,
-        h=h,
-        edge_order=tuple(sorted(inst.pattern_edges)),
-        f_maps=build_f_maps(inst, rho),
+    params, block_of, alpha_of = _pattern(
+        inst.pattern_vertex_count, inst.pattern_edges, inst.block_size, inst.blocks
     )
-    block_of = inst.block_assignment()
-    alpha_of = {edge: i + 1 for i, edge in enumerate(params.edge_order)}
     colors = []
     for u, v in sorted(inst.host_edges):
         bu, bv = block_of[u], block_of[v]
@@ -309,8 +347,32 @@ def reduce_psi_to_dcmc(inst: PsiInstance) -> PsiReduction:
         colors.append((alpha_of[(x, max(bu, bv))], v_x, v_y))
     colors.sort()
     edges, offsets = build_gadgets(colors, params)
-    dual = DualCmcInstance.from_rows(params.vertex_count, edges, offsets, a)
+    dual = DualCmcInstance.from_rows(params.vertex_count, edges, offsets, params.a)
     return PsiReduction(dual, params, tuple(colors))
+
+
+@lru_cache(maxsize=_PATTERN_CACHE_SIZE)
+def _pattern(
+    h: int, pattern_edges, block_size: int, blocks
+) -> tuple[GadgetParams, Mapping[int, int], Mapping[tuple[int, int], int]]:
+    """A reduction's parameters, the block of every host vertex and the
+    index alpha of every pattern edge: all of them depend on the pattern
+    and the blocks alone. A disconnected pattern raises each time."""
+    a = len(pattern_edges)
+    if a == 0 or not is_connected(h, pattern_edges):
+        raise PatternDisconnected("pattern must be connected with at least one edge")
+    rho = choose_prime(block_size, a)
+    params = GadgetParams(
+        rho=rho,
+        a=a,
+        b=2 * a,
+        h=h,
+        edge_order=tuple(sorted(pattern_edges)),
+        f_maps=build_f_maps(blocks, a, rho),
+    )
+    block_of = MappingProxyType({v: x for x, block in enumerate(blocks) for v in block})
+    alpha_of = MappingProxyType({edge: i + 1 for i, edge in enumerate(params.edge_order)})
+    return params, block_of, alpha_of
 
 
 def connectivize_pattern(inst: PsiInstance) -> PsiInstance:

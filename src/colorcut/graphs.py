@@ -107,11 +107,18 @@ def connected_in_subsets(graph: Graph, subsets) -> np.ndarray:
     edge between two nodes of one subset wherever the graph joins their
     members. A subset is connected iff all its nodes carry the label of its
     first node, the smallest of them."""
-    members = [sorted(set(s)) for s in subsets]
-    sizes = np.array([len(m) for m in members], dtype=np.int64)
-    owner = np.repeat(np.arange(len(members)), sizes)
-    member = np.fromiter(itertools.chain.from_iterable(members), dtype=np.int64, count=sizes.sum())
-    keys = owner * graph.vertex_count + member  # ascending: a node's number is its rank
+    subsets = list(subsets)
+    lengths = [len(s) for s in subsets]
+    keys = np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.int64, count=sum(lengths))
+    keys += np.repeat(np.arange(len(subsets)) * graph.vertex_count, lengths)
+    # ascending and without repeats: a node's number is its rank (one sort
+    # and a mask, since np.unique costs several times more on small arrays)
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    owner, member = np.divmod(keys, graph.vertex_count)
+    sizes = np.bincount(owner, minlength=len(subsets))
     # pair each node with every edge (u, v) where u is its member (a Graph
     # keeps its edges sorted); the pair is an induced edge when v is in the
     # subset too
@@ -124,7 +131,7 @@ def connected_in_subsets(graph: Graph, subsets) -> np.ndarray:
     at = np.searchsorted(keys, target).clip(max=len(keys) - 1)
     inside = keys[at] == target
     labels = component_labels(len(keys), np.stack([node[inside], at[inside]], axis=1))[1]
-    split = np.zeros(len(members), dtype=bool)
+    split = np.zeros(len(subsets), dtype=bool)
     split[owner[labels != (np.cumsum(sizes) - sizes)[owner]]] = True
     return (sizes > 0) & ~split
 

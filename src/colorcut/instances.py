@@ -187,8 +187,7 @@ def _row_steps(edges: np.ndarray) -> np.ndarray:
 
 def _concatenate(blocks) -> tuple[np.ndarray, np.ndarray]:
     """The rows of all blocks in one array, and the offsets of each block."""
-    offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
-    np.cumsum([len(b) for b in blocks], out=offsets[1:])
+    offsets = np.array([0, *itertools.accumulate(map(len, blocks))], dtype=np.int64)
     edges = np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
     return edges, offsets
 

@@ -21,6 +21,7 @@ from colorcut.gadgets import (
 )
 from colorcut import formats, gadgets
 from colorcut.formats import write_dcmc, write_gadget_map
+from colorcut.graphs import is_connected
 from colorcut.instances import (
     CapExceeded,
     PsiInstance,
@@ -39,7 +40,7 @@ def _params(inst: PsiInstance, rho: int) -> GadgetParams:
         b=2 * a,
         h=inst.pattern_vertex_count,
         edge_order=tuple(sorted(inst.pattern_edges)),
-        f_maps=build_f_maps(inst, rho),
+        f_maps=build_f_maps(inst.blocks, a, rho),
     )
 
 
@@ -87,14 +88,14 @@ def test_index_to_vector_lexicographic():
 
 def test_f_maps_injective_and_sized():
     inst = PsiInstance(2, ((0, 1),), 3, _blocks(2, 3), frozenset())
-    maps = build_f_maps(inst, 5)
+    maps = build_f_maps(inst.blocks, 1, 5)
     for block, fmap in zip(inst.blocks, maps):
         assert sorted(fmap) == list(block)
         vecs = list(fmap.values())
         assert len(set(vecs)) == len(vecs)
         assert all(len(v) == 1 and 1 <= v[0] <= 4 for v in vecs)
     with pytest.raises(ValueError):
-        build_f_maps(inst, 2)  # (2-1)^1 < 3
+        build_f_maps(inst.blocks, 1, 2)  # (2-1)^1 < 3
 
 
 def test_gadget_params_sizes():
@@ -233,9 +234,12 @@ def test_build_gadgets_cap(monkeypatch):
     colors = [(1, 0, 2), (1, 1, 3)]
     monkeypatch.setattr(gadgets, "DEFAULT_DUAL_ROW_CAP", 2 * p.rows_per_color)
     assert len(build_gadgets(colors, p)[1]) == 3
+    cached = list(gadgets._gadget_rows)
     monkeypatch.setattr(gadgets, "DEFAULT_DUAL_ROW_CAP", 2 * p.rows_per_color - 1)
+    # both colors are in the memo now, and the cap still refuses them
     with pytest.raises(CapExceeded, match=f"{2 * p.rows_per_color} gadget rows"):
         build_gadgets(colors, p)
+    assert list(gadgets._gadget_rows) == cached
 
 
 def _reduction_rows(h, pattern, n, p):
@@ -283,20 +287,149 @@ def test_gadgets_match_naive_builder_on_the_family():
         _assert_gadgets_match_naive(inst)
 
 
-@pytest.mark.parametrize(
-    "h,pattern,n,host_count,rho",
-    [
-        (2, ((0, 1),), 144, 4, 149),  # the top sat-chain rung
-        (3, ((0, 1), (1, 2)), 3, 4, 3),
-        (3, ((0, 1), (0, 2), (1, 2)), 2, 3, 3),
-    ],
-    ids=["a1-rho149", "a2-path", "a3-triangle"],
-)
-def test_gadgets_match_naive_builder(h, pattern, n, host_count, rho):
+NAIVE_CASES = [
+    (2, ((0, 1),), 144, 4, 149),  # the top sat-chain rung
+    (3, ((0, 1), (1, 2)), 3, 4, 3),
+    (3, ((0, 1), (0, 2), (1, 2)), 2, 3, 3),
+]
+
+
+def _sampled_instance(h, pattern, n, host_count) -> PsiInstance:
     blocks = _blocks(h, n)
     admissible = sorted((u, v) for x, y in pattern for u in blocks[x] for v in blocks[y])
     host = frozenset(random.Random(n).sample(admissible, host_count))
-    assert _assert_gadgets_match_naive(PsiInstance(h, pattern, n, blocks, host)) == rho
+    return PsiInstance(h, pattern, n, blocks, host)
+
+
+@pytest.mark.parametrize(
+    "h,pattern,n,host_count,rho", NAIVE_CASES, ids=["a1-rho149", "a2-path", "a3-triangle"]
+)
+def test_gadgets_match_naive_builder(h, pattern, n, host_count, rho):
+    inst = _sampled_instance(h, pattern, n, host_count)
+    assert _assert_gadgets_match_naive(inst) == rho
+
+
+def _clear_memos() -> None:
+    gadgets._pattern.cache_clear()
+    gadgets._gadget_rows.clear()
+
+
+def _same_reduction(got, want) -> bool:
+    return (
+        got.dual == want.dual
+        and got.color_map == want.color_map
+        and got.params == want.params
+    )
+
+
+def test_warm_memos_give_the_cold_reductions():
+    cases = [
+        *exhaustive_gadget_family(),
+        *(_sampled_instance(*case[:4]) for case in NAIVE_CASES),
+    ]
+    cold = []
+    for inst in cases:
+        _clear_memos()
+        cold.append(reduce_psi_to_dcmc(inst))
+    _clear_memos()
+    # the first pass mixes hits and misses, the second only hits
+    for _ in range(2):
+        for inst, want in zip(cases, cold):
+            assert _same_reduction(reduce_psi_to_dcmc(inst), want)
+
+
+def test_gadget_memo_key_holds_alpha_and_the_pattern_edge():
+    # one host edge per instance, blocks of one vertex: rho 2, a 2, b 4,
+    # h 3 and g = (1, 1, 1, 1) for all three colors. The first two give
+    # alpha 1 to pattern edges (0, 2) and (0, 1); the third gives (0, 2)
+    # alpha 2.
+    blocks = _blocks(3, 1)
+    cases = [
+        PsiInstance(3, ((0, 2), (1, 2)), 1, blocks, frozenset({(0, 2)})),
+        PsiInstance(3, ((0, 1), (1, 2)), 1, blocks, frozenset({(0, 1)})),
+        PsiInstance(3, ((0, 1), (0, 2)), 1, blocks, frozenset({(0, 2)})),
+    ]
+    cold = []
+    for inst in cases:
+        _clear_memos()
+        cold.append(reduce_psi_to_dcmc(inst))
+    assert [red.color_map for red in cold] == [((1, 0, 2),), ((1, 0, 1),), ((2, 0, 2),)]
+    assert len({red.params.g_vector(*red.color_map[0]) for red in cold}) == 1
+    rows = [red.dual.edges.tobytes() for red in cold]
+    assert len(set(rows)) == 3
+    _clear_memos()
+    for inst, want in zip(cases, cold):
+        got = reduce_psi_to_dcmc(inst)
+        assert _same_reduction(got, want)
+        assert sorted(map(tuple, got.dual.edges.tolist())) == sorted(
+            oracles.naive_gadget_edges(*got.color_map[0], got.params)
+        )
+    assert len(gadgets._gadget_rows) == 3
+
+
+def test_memos_hold_the_family_within_their_capacity():
+    _clear_memos()
+    for inst in exhaustive_gadget_family():
+        reduce_psi_to_dcmc(inst)
+    # the family has 25 distinct gadgets and 8 (pattern, blocks) keys
+    assert len(gadgets._gadget_rows) == 25 <= gadgets._GADGET_CACHE_SIZE
+    assert gadgets._pattern.cache_info().currsize == 8
+
+
+def test_pattern_memo_checks_connectivity_once_per_key(monkeypatch):
+    calls = []
+
+    def counted(vertex_count, edges):
+        calls.append(edges)
+        return is_connected(vertex_count, edges)
+
+    monkeypatch.setattr(gadgets, "is_connected", counted)
+    _clear_memos()
+    for inst in exhaustive_gadget_family():
+        reduce_psi_to_dcmc(inst)
+    assert len(calls) == 8
+    # a disconnected pattern is refused every time, never remembered
+    inst = PsiInstance(3, ((0, 1),), 1, _blocks(3, 1), frozenset({(0, 1)}))
+    for _ in range(2):
+        with pytest.raises(PatternDisconnected):
+            reduce_psi_to_dcmc(inst)
+    assert len(calls) == 10
+
+
+def test_reduction_with_more_colors_than_the_memo_leaves_it_untouched():
+    _clear_memos()
+    for inst in itertools.islice(exhaustive_gadget_family(), 40):
+        reduce_psi_to_dcmc(inst)
+    before = list(gadgets._gadget_rows.items())
+    assert before
+    blocks = _blocks(2, 6)
+    host = frozenset((u, v) for u in blocks[0] for v in blocks[1])
+    big = PsiInstance(2, ((0, 1),), 6, blocks, host)
+    assert len(host) > gadgets._GADGET_CACHE_SIZE
+    _assert_gadgets_match_naive(big)
+    after = list(gadgets._gadget_rows.items())
+    assert [key for key, _ in after] == [key for key, _ in before]
+    assert all(x is y for (_, x), (_, y) in zip(after, before))
+
+
+def test_memo_entries_are_read_only():
+    _clear_memos()
+    inst = PsiInstance(3, ((0, 1), (1, 2)), 2, _blocks(3, 2), frozenset({(0, 2), (3, 4)}))
+    red = reduce_psi_to_dcmc(inst)
+    assert len(gadgets._gadget_rows) == 2
+    for block in gadgets._gadget_rows.values():
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 0
+    params, block_of, alpha_of = gadgets._pattern(3, inst.pattern_edges, 2, inst.blocks)
+    assert params is red.params
+    for fmap in params.f_maps:
+        with pytest.raises(TypeError):
+            fmap[0] = (1, 1)
+    with pytest.raises(TypeError):
+        block_of[0] = 1
+    with pytest.raises(TypeError):
+        alpha_of[(0, 1)] = 2
 
 
 # sha256 of write_dcmc and write_gadget_map of every family reduction, in

@@ -202,6 +202,14 @@ def _induced_components(graph, subset):
 
 def test_connected_in_subset_matches_oracles():
     rng = random.Random(12)
+    mix = random.Random(13)  # repeats and orders, apart from the graphs
+
+    def repeated(subset):
+        """The subset as a list, each member one to three times, shuffled."""
+        given = [w for w in subset for _ in range(mix.randint(1, 3))]
+        mix.shuffle(given)
+        return given
+
     for _ in range(200):
         n = rng.randint(1, 14)
         graph = random_simple_graph(n, rng.randint(0, min(n * (n - 1) // 2, 2 * n)), rng)
@@ -213,11 +221,13 @@ def test_connected_in_subset_matches_oracles():
             bfs, uf = _induced_components(graph, subset)
             assert bfs == uf
             expected.append(bfs == 1)
-            for given in (subset, frozenset(subset), sorted(subset, reverse=True)):
+            for given in (subset, frozenset(subset), sorted(subset, reverse=True), repeated(subset)):
                 assert connected_in_subsets(graph, [given]).tolist() == [bfs == 1], (graph, subset)
-        # all at once, in a shuffled order
+        # all at once, in a shuffled order, as sets and as lists with repeats
         order = rng.sample(range(len(subsets)), len(subsets))
         got = connected_in_subsets(graph, [subsets[i] for i in order]).tolist()
+        assert got == [expected[i] for i in order], graph
+        got = connected_in_subsets(graph, [repeated(subsets[i]) for i in order]).tolist()
         assert got == [expected[i] for i in order], graph
 
 
