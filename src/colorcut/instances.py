@@ -11,6 +11,7 @@ fixed canonical enumeration order, so repeated calls agree byte for byte.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from math import comb, prod
 from typing import Hashable, NamedTuple
@@ -167,6 +168,8 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 def _edge_block(es) -> np.ndarray:
     """A color graph's edges as an (m, 2) int64 array, rows as given."""
+    if isinstance(es, np.ndarray) and es.dtype == np.int64 and es.ndim == 2 and es.shape[1] == 2:
+        return es
     try:
         arr = np.asarray(es if isinstance(es, np.ndarray) else list(es), dtype=np.int64)
     except OverflowError as exc:
@@ -220,12 +223,9 @@ class DualCmcInstance:
         and made read-only."""
         edges = _edge_block(edges)
         offsets = np.asarray(offsets, dtype=np.int64)
-        if (
-            offsets.ndim != 1
-            or len(offsets) < 1
-            or offsets[0] != 0
-            or offsets[-1] != len(edges)
-            or (np.diff(offsets) < 0).any()
+        bounds = offsets.tolist() if offsets.ndim == 1 else None
+        if not bounds or bounds[0] != 0 or bounds[-1] != len(edges) or any(
+            map(operator.gt, bounds, bounds[1:])
         ):
             raise ValueError("offsets must rise from 0 to the number of edge rows")
         dual = object.__new__(cls)

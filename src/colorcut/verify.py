@@ -8,9 +8,11 @@ live here too so the tests and the CLI agree on what "exhaustive" means.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,6 +33,7 @@ from .graphs import component_labels, random_max_degree3_graph
 from .instances import (
     CnfFormula,
     ColoredMultigraph,
+    DualCmcInstance,
     PsiInstance,
     cmc_to_dual,
     dual_to_cmc,
@@ -184,9 +187,59 @@ def verify_duality(cfg: RunConfig) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
+# unions whose component count and probe labels stay known, least recently
+# used first out: a family pass leaves 62 (30 pairs and 32 forward selections
+# over its 25 distinct color graphs)
+_UNION_CACHE_SIZE = 256
+_union_labels: OrderedDict[tuple, tuple[int, tuple[int, ...]]] = OrderedDict()
+
+
+def _row_digests(dual: DualCmcInstance) -> list[bytes]:
+    """A 16-byte blake2b digest of each color graph's rows. Every row lies in
+    [0, W), so the rows are hashed in the narrowest of uint16, uint32 and
+    int64 that holds W - 1: W and the digest fix the rows."""
+    w = dual.vertex_count
+    dtype = np.uint16 if w <= 1 << 16 else np.uint32 if w <= 1 << 32 else np.int64
+    rows = np.ascontiguousarray(dual.edges, dtype=dtype)
+    bounds = dual.offsets.tolist()
+    return [
+        hashlib.blake2b(rows[lo:hi], digest_size=16).digest()
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
+def _label_unions(dual: DualCmcInstance, unions) -> list[tuple[int, tuple[int, ...]]]:
+    """For each (selection, probes) in unions, the component count of the
+    selection's union and the labels at its probe vertices.
+
+    One labelling covers every union: union q sits on vertices q * W to
+    q * W + W - 1, so its labels less q * W are its own labelling, where a
+    component's label is its smallest vertex."""
+    w = dual.vertex_count
+    rows = np.concatenate([dual.union(sel) + q * w for q, (sel, _) in enumerate(unions)])
+    labels = component_labels(len(unions) * w, rows)[1].reshape(-1, w)
+    labels -= (np.arange(len(unions)) * w)[:, None]
+    counts = np.count_nonzero(labels == np.arange(w), axis=1).tolist()
+    return [
+        (count, tuple(row[list(probes)].tolist()))
+        for count, row, (_, probes) in zip(counts, labels, unions)
+    ]
+
+
 def check_gadget_instance(inst: PsiInstance, cfg: RunConfig) -> dict:
     """All per-instance gadget properties; returns flags plus the artifacts
-    needed for determinism hashing."""
+    needed for determinism hashing.
+
+    The pair check labels the union of every two gadgets for one pattern
+    edge, and passes when each is connected. The forward check labels the
+    union of the gadgets the PSI witness selects, and passes when the hub
+    is apart from the selected images and those sit in one component. A
+    union's component count and the labels at its probe vertices are kept
+    in a memo of up to _UNION_CACHE_SIZE unions, least recently used first
+    out, keyed by (W, the sorted digests of the selected color graphs'
+    rows, the probe vertices). The key is the rows' content, not the
+    colors they came from, so a dual whose rows differ from the reduction's
+    is labelled afresh. The unions not in the memo share one labelling."""
     reduction = reduce_psi_to_dcmc(inst)
     params = reduction.params
     dual = reduction.dual
@@ -207,8 +260,10 @@ def check_gadget_instance(inst: PsiInstance, cfg: RunConfig) -> dict:
     by_alpha: dict[int, list[int]] = {}
     for idx, (alpha, _, _) in enumerate(reduction.color_map, start=1):
         by_alpha.setdefault(alpha, []).append(idx)
-    selections = [pair for ids in by_alpha.values() for pair in itertools.combinations(ids, 2)]
-    pair_count = len(selections)
+    unions = [
+        (pair, (HUB,)) for ids in by_alpha.values() for pair in itertools.combinations(ids, 2)
+    ]
+    pair_count = len(unions)
     psi_answer = solve_psi_bruteforce(inst, cfg.cap_psi_assignments)
     dual_answer = solve_dual_bruteforce(dual, cfg.cap_dual_combinations)
     equiv_ok = psi_answer.decision == dual_answer.decision
@@ -227,24 +282,31 @@ def check_gadget_instance(inst: PsiInstance, cfg: RunConfig) -> dict:
         pick = psi_answer.witness
         index_of = {cm: i + 1 for i, cm in enumerate(reduction.color_map)}
         edges = enumerate(params.edge_order, start=1)
-        selections.append([index_of[(alpha, pick[x], pick[y])] for alpha, (x, y) in edges])
+        selected = [index_of[(alpha, pick[x], pick[y])] for alpha, (x, y) in edges]
+        hats = tuple(params.hat_vertex(x, pick[x]) for x in range(params.h))
+        unions.append((selected, (HUB, *hats)))
 
-    # one labelling for every selection: union q sits on vertices q * W to
-    # q * W + W - 1, so its labels less q * W are its own labelling
     pairs_ok = forward_ok = True
-    if selections:
-        w = dual.vertex_count
-        rows = np.concatenate([dual.union(sel) + q * w for q, sel in enumerate(selections)])
-        labels = component_labels(len(selections) * w, rows)[1].reshape(-1, w)
-        labels -= (np.arange(len(selections)) * w)[:, None]
-        # a union is connected when every label is its smallest vertex, 0
-        pairs_ok = not labels[:pair_count].any()
+    if unions:
+        digests = _row_digests(dual)
+        keys = [
+            (dual.vertex_count, tuple(sorted(digests[i - 1] for i in sel)), probes)
+            for sel, probes in unions
+        ]
+        known = {key: _union_labels[key] for key in keys if key in _union_labels}
+        missing = {key: union for key, union in zip(keys, unions) if key not in known}
+        if missing:
+            known.update(zip(missing, _label_unions(dual, list(missing.values()))))
+        for key in keys:
+            _union_labels[key] = known[key]
+            _union_labels.move_to_end(key)
+        while len(_union_labels) > _UNION_CACHE_SIZE:
+            _union_labels.popitem(last=False)
+        pairs_ok = all(known[key][0] == 1 for key in keys[:pair_count])
         if psi_answer.decision:
-            forward = labels[-1]
-            count = np.count_nonzero(forward == np.arange(w))
+            count, (hub, *images) = known[keys[-1]]
             # the selected images must sit together, away from the hub
-            roots = {forward[params.hat_vertex(x, pick[x])] for x in range(params.h)}
-            forward_ok = not (count < 2 or len(roots) != 1 or forward[HUB] in roots)
+            forward_ok = not (count < 2 or len(set(images)) != 1 or hub in images)
 
     return {
         "reduction": reduction,
@@ -261,21 +323,28 @@ def check_gadget_instance(inst: PsiInstance, cfg: RunConfig) -> dict:
 
 def verify_gadgets(cfg: RunConfig) -> SuiteResult:
     """Exhaustive gadget family: decision preservation plus the structural
-    claims (spanning, pair reconnection, witness decoding both ways)."""
+    claims (spanning, pair reconnection, witness decoding both ways). A
+    failed run also names the family index of its first failing instance
+    and that instance's failed flags."""
     totals = {"instances": 0, "yes": 0}
     failures = {
         key: 0 for key in ("size", "spanning", "pairs", "equiv", "decode", "forward")
     }
-    for inst in exhaustive_gadget_family():
+    first_failure = None
+    for index, inst in enumerate(exhaustive_gadget_family()):
         result = check_gadget_instance(inst, cfg)
         totals["instances"] += 1
         totals["yes"] += int(result["psi_decision"])
-        for key in failures:
-            if not result[f"{key}_ok"]:
-                failures[key] += 1
-    ok = all(v == 0 for v in failures.values())
+        failed = sorted(key for key in failures if not result[f"{key}_ok"])
+        for key in failed:
+            failures[key] += 1
+        if failed and first_failure is None:
+            first_failure = f"{index} {','.join(failed)}"
+    ok = first_failure is None
     lines = [f"gadget_instances={totals['instances']}", f"gadget_yes={totals['yes']}"]
     lines.extend(f"gadget_{key}_failures={v}" for key, v in sorted(failures.items()))
+    if first_failure is not None:
+        lines.append(f"gadget_first_failure={first_failure}")
     lines.append(f"gadgets_ok={int(ok)}")
     return SuiteResult(ok, lines, {"totals": totals, "failures": failures})
 

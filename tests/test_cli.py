@@ -6,6 +6,7 @@ import sys
 import time
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -127,23 +128,60 @@ SRC = str(Path(cli.__file__).resolve().parents[1])
 MEMORY_LIMIT = 2_000_000 * 1024  # bytes of address space for child processes
 
 
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+def _child_env() -> dict:
+    """The environment of a child that imports colorcut from this tree. BLAS
+    runs single-threaded, so the child's footprint does not grow with the
+    host's core count."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    return dict(os.environ, PYTHONPATH=path, **threads)
+
+
 def run_limited(argv, cwd):
     """Run a Python child under an address-space limit, so that an
     allocation sized by an absurd count fails fast instead of exhausting
-    the machine. BLAS runs single-threaded, so the child's footprint does
-    not grow with the host's core count."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
-    env = dict(os.environ, PYTHONPATH=path, **threads)
+    the machine."""
     return subprocess.run(
         [sys.executable, *argv],
         cwd=cwd,
-        env=env,
+        env=_child_env(),
         capture_output=True,
         text=True,
         timeout=300,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT)),
+        preexec_fn=_limit_memory,
     )
+
+
+@pytest.fixture(scope="module")
+def run_forked():
+    """run_forked(argv, cwd) runs `colorcut *argv` in cwd like run_limited
+    does, in a child forked from one rlimited process that imports colorcut
+    once (tests/fork_runner.py). Each child sets its own address-space
+    limit."""
+    runner = subprocess.Popen(
+        [sys.executable, str(Path(__file__).with_name("fork_runner.py"))],
+        env=_child_env(),
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+        preexec_fn=_limit_memory,
+    )
+
+    def run_one(argv, cwd):
+        request = {"argv": list(argv), "cwd": str(cwd), "limit": MEMORY_LIMIT}
+        runner.stdin.write(json.dumps(request) + "\n")
+        runner.stdin.flush()
+        reply = runner.stdout.readline()
+        assert reply, "the fork runner exited"
+        return SimpleNamespace(**json.loads(reply))
+
+    yield run_one
+    runner.stdin.close()
+    runner.wait(timeout=60)
 
 
 HUGE_CNF = "p cnf 99999999999 1\n1 0\n"
@@ -196,13 +234,13 @@ WIDE_PSI = (
         "sat2dcmc",
     ],
 )
-def test_huge_header_counts(tmp_path, argv, text, code, witness):
+def test_huge_header_counts(run_forked, tmp_path, argv, text, code, witness):
     path = tmp_path / "huge"
     path.write_text(text)
     (tmp_path / "base.csp").write_text("csp 2\ndom 0 a\ndom 1 a\n")
     paths = {"csp": str(tmp_path / "base.csp"), "out": str(tmp_path / "out")}
     args = [arg.format(**paths) for arg in argv]
-    proc = run_limited(["-m", "colorcut", *args, str(path)], tmp_path)
+    proc = run_forked([*args, str(path)], tmp_path)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     if witness is not None:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from dataclasses import replace
@@ -149,35 +150,135 @@ def _reduce_with(monkeypatch, edit):
     monkeypatch.setattr(verify, "reduce_psi_to_dcmc", edited)
 
 
-def test_check_gadget_instance_pair_that_stays_split(monkeypatch):
-    # a gadget stripped down to its selection edge leaves the other gadget's
-    # selected images apart from the hub, so that pair fails and only it
-    def strip(red, graphs):
-        _, v_x, v_y = red.color_map[0]
-        graphs[0] = [(red.params.hat_vertex(0, v_x), red.params.hat_vertex(1, v_y))]
-        return graphs
+def _strip(red, graphs):
+    # a gadget stripped down to its selection edge
+    _, v_x, v_y = red.color_map[0]
+    graphs[0] = [(red.params.hat_vertex(0, v_x), red.params.hat_vertex(1, v_y))]
+    return graphs
 
-    _reduce_with(monkeypatch, strip)
+
+def _connect(red, graphs):
+    # hub edges to every vertex in the gadget the PSI witness selects
+    pick = solve_psi_bruteforce(YES_PSI).witness
+    i = red.color_map.index((1, *pick))
+    hub = [(HUB, w) for w in range(1, red.dual.vertex_count)]
+    graphs[i] = np.concatenate([graphs[i], hub])
+    return graphs
+
+
+def test_check_gadget_instance_pair_that_stays_split(monkeypatch):
+    # a stripped gadget leaves the other gadget's selected images apart from
+    # the hub, so that pair fails and only it
+    _reduce_with(monkeypatch, _strip)
     result = check_gadget_instance(YES_PSI, CFG)
     assert result["pairs_ok"] is False
     assert result["forward_ok"] is True
 
 
 def test_check_gadget_instance_selection_that_stays_connected(monkeypatch):
-    # hub edges to every vertex in the gadget the PSI witness selects connect
-    # its union, so the forward check fails while every pair still connects
-    pick = solve_psi_bruteforce(YES_PSI).witness
-
-    def connect(red, graphs):
-        i = red.color_map.index((1, *pick))
-        hub = [(HUB, w) for w in range(1, red.dual.vertex_count)]
-        graphs[i] = np.concatenate([graphs[i], hub])
-        return graphs
-
-    _reduce_with(monkeypatch, connect)
+    # hub edges in the selected gadget connect its union, so the forward
+    # check fails while every pair still connects
+    _reduce_with(monkeypatch, _connect)
     result = check_gadget_instance(YES_PSI, CFG)
     assert result["forward_ok"] is False
     assert result["pairs_ok"] is True
+
+
+@pytest.mark.parametrize(
+    "edit, failed", [(_strip, "pairs_ok"), (_connect, "forward_ok")], ids=["strip", "connect"]
+)
+def test_check_gadget_instance_edits_after_a_warm_memo(monkeypatch, edit, failed):
+    # the real reduction's unions are in the memo first; an edited dual has
+    # the same colors but other rows, so it must be labelled afresh
+    assert all(check_gadget_instance(YES_PSI, CFG)[key] for key in ("pairs_ok", "forward_ok"))
+    _reduce_with(monkeypatch, edit)
+    result = check_gadget_instance(YES_PSI, CFG)
+    assert result[failed] is False
+    other = ({"pairs_ok", "forward_ok"} - {failed}).pop()
+    assert result[other] is True
+
+
+def _digest(rows) -> bytes:
+    return hashlib.blake2b(np.asarray(rows, dtype=np.uint16), digest_size=16).digest()
+
+
+def test_union_memo_keys_are_row_digests():
+    verify._union_labels.clear()
+    result = check_gadget_instance(YES_PSI, CFG)
+    red = result["reduction"]
+    graphs = red.dual.color_graphs
+    w = red.dual.vertex_count
+    pick = solve_psi_bruteforce(YES_PSI).witness
+    chosen = red.color_map.index((1, *pick))
+    hats = tuple(red.params.hat_vertex(x, pick[x]) for x in range(2))
+    pair = (w, tuple(sorted(map(_digest, graphs))), (HUB,))
+    forward = (w, (_digest(graphs[chosen]),), (HUB, *hats))
+    assert list(verify._union_labels) == [pair, forward]
+    # the pair is connected; the forward union splits the hub from the images
+    assert verify._union_labels[pair] == (1, (0,))
+    count, (hub, *images) = verify._union_labels[forward]
+    assert count >= 2 and len(set(images)) == 1 and hub not in images
+
+
+FLAGS = (
+    "size_ok",
+    "spanning_ok",
+    "pairs_ok",
+    "equiv_ok",
+    "decode_ok",
+    "forward_ok",
+    "psi_decision",
+    "dual_decision",
+)
+
+
+def test_union_memo_cold_and_warm_flags_agree():
+    cold = []
+    for inst in exhaustive_gadget_family():
+        verify._union_labels.clear()
+        result = check_gadget_instance(inst, CFG)
+        cold.append([result[key] for key in FLAGS])
+    verify._union_labels.clear()
+    warm = [
+        [result[key] for key in FLAGS]
+        for result in (check_gadget_instance(inst, CFG) for inst in exhaustive_gadget_family())
+    ]
+    assert warm == cold
+    # 30 distinct pairs and 32 distinct forward unions
+    assert len(verify._union_labels) == 62
+    # a second pass finds every union in the memo
+    before = list(verify._union_labels)
+    for inst in exhaustive_gadget_family():
+        check_gadget_instance(inst, CFG)
+    assert sorted(verify._union_labels) == sorted(before)
+
+
+def _keys_of(inst) -> list:
+    verify._union_labels.clear()
+    check_gadget_instance(inst, CFG)
+    return list(verify._union_labels)
+
+
+def test_union_memo_evicts_least_recently_used(monkeypatch):
+    a = _keys_of(YES_PSI)
+    seen = set(a)
+    others = []
+    for inst in exhaustive_gadget_family():
+        keys = _keys_of(inst)
+        if keys and seen.isdisjoint(keys):
+            others.append((inst, keys))
+            seen.update(keys)
+        if len(others) == 2:
+            break
+    (b_inst, b), (c_inst, c) = others
+    monkeypatch.setattr(verify, "_UNION_CACHE_SIZE", len(a) + len(b))
+    verify._union_labels.clear()
+    for inst in (YES_PSI, b_inst, YES_PSI):
+        check_gadget_instance(inst, CFG)
+    # the hits moved YES_PSI's unions behind b's, so c evicts b's first
+    assert list(verify._union_labels) == b + a
+    check_gadget_instance(c_inst, CFG)
+    assert list(verify._union_labels) == (b + a + c)[len(c) :]
 
 
 def test_check_gadget_instance_labels_once(monkeypatch):
@@ -189,12 +290,18 @@ def test_check_gadget_instance_labels_once(monkeypatch):
         return labels(*args)
 
     monkeypatch.setattr(verify, "component_labels", counted)
-    # the one pair and the PSI witness's selection share one labelling
+    # on a cold memo, the one pair and the PSI witness's selection share one
+    # labelling
+    verify._union_labels.clear()
     result = check_gadget_instance(YES_PSI, CFG)
     assert result["pairs_ok"] and result["forward_ok"]
     assert len(calls) == 1
     w = result["reduction"].dual.vertex_count
     assert calls[0][0] == 2 * w
+    # the same check again finds both unions in the memo
+    result = check_gadget_instance(YES_PSI, CFG)
+    assert result["pairs_ok"] and result["forward_ok"]
+    assert len(calls) == 1
     # no host edge: no pair, a no answer, and nothing to label
     empty = replace(YES_PSI, host_edges=frozenset())
     result = check_gadget_instance(empty, CFG)
@@ -222,6 +329,27 @@ def test_verify_gadgets_lines():
         ),
         "gadgets_ok=1",
     ]
+
+
+def test_verify_gadgets_names_its_first_failure(monkeypatch):
+    check = verify.check_gadget_instance
+    count = itertools.count()
+
+    def failing(inst, cfg):
+        result = check(inst, cfg)
+        if next(count) in (5, 9):
+            result.update(pairs_ok=False, forward_ok=False)
+        return result
+
+    monkeypatch.setattr(verify, "check_gadget_instance", failing)
+    result = verify_gadgets(CFG)
+    assert not result.ok
+    assert result.lines[-3:] == [
+        "gadget_spanning_failures=0",
+        "gadget_first_failure=5 forward,pairs",
+        "gadgets_ok=0",
+    ]
+    assert "gadget_pairs_failures=2" in result.lines
 
 
 def test_verify_embedding_smoke():
